@@ -211,8 +211,6 @@ struct Args {
     resident_cap: usize,
     fsync: bool,
     no_dynconn: bool,
-    kernel: bool,
-    kernel_threshold: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -246,8 +244,6 @@ fn parse_args() -> Result<Args, String> {
         resident_cap: 0,
         fsync: false,
         no_dynconn: false,
-        kernel: false,
-        kernel_threshold: EngineConfig::default().kernel_threshold,
     };
     let mut connections_given = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -317,11 +313,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--fsync" => args.fsync = true,
             "--no-dynconn" => args.no_dynconn = true,
-            "--kernel" => args.kernel = true,
-            "--kernel-threshold" => {
-                args.kernel_threshold =
-                    value(&mut i)?.parse().map_err(|e| format!("--kernel-threshold: {e}"))?
-            }
             "--help" | "-h" => {
                 println!(
                     "stress --ops N --seed S [--graphs G] [--initial-n N] [--zipf Z] \
@@ -330,7 +321,6 @@ fn parse_args() -> Result<Args, String> {
                      [--arrival closed|steady:R|poisson:R|bursts:B:P|diurnal:L:H] \
                      [--phases single|bursty|diurnal|flash|write-storm|whale] \
                      [--trace-out PATH] [--trace-in PATH] [--cache-entries N] [--no-dynconn] \
-                     [--kernel] [--kernel-threshold N] \
                      [--dump-log PATH] [--remote ADDR [--connections N]] \
                      [--json-out PATH] [--metrics-out PATH] [--metrics-text PATH] \
                      [--data-dir PATH [--snapshot-every N] \
@@ -368,9 +358,6 @@ fn parse_args() -> Result<Args, String> {
             "--phases must be single|bursty|diurnal|flash|write-storm|whale (got '{}')",
             args.phases
         ));
-    }
-    if args.kernel_threshold == 0 {
-        return Err("--kernel-threshold must be at least 1".into());
     }
     if args.phases != "single" && args.arrival == ArrivalArg::Closed {
         // Presets are open-loop shapes; give them a sane default pace
@@ -412,17 +399,17 @@ fn parse_args() -> Result<Args, String> {
             || args.steal
             || args.latency_proxy
             || args.rebalance_window != PlacementOptions::default().window
-            || args.cache_entries != EngineConfig::default().max_cache_entries
-            || args.no_dynconn
-            || args.kernel
-            || args.kernel_threshold != EngineConfig::default().kernel_threshold;
+            || args.cache_entries != EngineConfig::default().max_cache_entries;
         if engine_flags_touched {
             return Err(
                 "--remote drives a cut-server: engine flags (--shards, --batch, --rebalance, \
-                 --rebalance-window, --steal, --latency-proxy, --cache-entries, --no-dynconn, \
-                 --kernel, --kernel-threshold) belong on the cut-server command line, not here"
+                 --rebalance-window, --steal, --latency-proxy, --cache-entries) belong on the \
+                 cut-server command line, not here"
                     .into(),
             );
+        }
+        if args.no_dynconn {
+            return Err("--no-dynconn is in-process only: cut-server has no such flag".into());
         }
     }
     Ok(args)
@@ -485,7 +472,7 @@ fn build_workload(args: &Args) -> Result<Workload, String> {
         zipf_exponent: args.zipf,
         mix: args.mix,
         // The whale preset's huge sparse g000: ~10× the default graph
-        // size, the shape the kernel's reductions are built to shrink.
+        // size, so s-t and global cuts on it dominate the serve time.
         whale_n: if args.phases == "whale" { 480 } else { 0 },
         ..WorkloadConfig::default()
     };
@@ -520,21 +507,20 @@ fn main() {
     if let Some(path) = &args.trace_in {
         println!(
             "cut-engine stress: trace={path} shards={} batch={} rebalance={} steal={} \
-             latency-proxy={} cache-entries={} dynconn={} kernel={}",
+             latency-proxy={} cache-entries={} dynconn={}",
             args.shards,
             args.batch,
             args.rebalance,
             args.steal,
             args.latency_proxy,
             args.cache_entries,
-            !args.no_dynconn,
-            args.kernel
+            !args.no_dynconn
         );
     } else {
         println!(
             "cut-engine stress: ops={} seed={} graphs={} initial-n={} zipf={} mix={} shards={} \
              batch={} rebalance={} steal={} latency-proxy={} arrival={:?} phases={} \
-             cache-entries={} dynconn={} kernel={}",
+             cache-entries={} dynconn={}",
             args.ops,
             args.seed,
             args.graphs,
@@ -549,8 +535,7 @@ fn main() {
             args.arrival,
             args.phases,
             args.cache_entries,
-            !args.no_dynconn,
-            args.kernel
+            !args.no_dynconn
         );
     }
 
@@ -607,8 +592,6 @@ fn main() {
         max_cache_entries: args.cache_entries,
         resident_cap: args.resident_cap,
         dynamic_index: !args.no_dynconn,
-        kernel: args.kernel,
-        kernel_threshold: args.kernel_threshold,
         ..EngineConfig::default()
     };
     let placement = PlacementOptions {
@@ -968,26 +951,6 @@ fn print_index_efficiency(stats: &EngineStats, batch: bool) {
         "cut gate: recomputes={} certified-skips={}",
         stats.cut_recomputes, stats.cut_certified_skips,
     );
-    if idx.kernel_rules_applied() + stats.kernel_cut_serves + stats.kernel_cut_fallbacks > 0 {
-        println!(
-            "kernel: builds={} reuses={} patches={} rules(deg1={} deg2={} heavy={}) \
-             vertex-ratio={:.3}",
-            idx.kernel_builds,
-            idx.kernel_reuses,
-            idx.kernel_patches,
-            idx.kernel_rules_deg1,
-            idx.kernel_rules_deg2,
-            idx.kernel_rules_heavy,
-            idx.kernel_vertex_ratio(),
-        );
-        println!(
-            "kernel cuts: serves={} fallbacks={} parallel={} helpers-borrowed={}",
-            stats.kernel_cut_serves,
-            stats.kernel_cut_fallbacks,
-            stats.kernel_parallel_cuts,
-            stats.kernel_helpers_borrowed,
-        );
-    }
 
     let any_kind = stats.builds_by_kind.iter().zip(&stats.reuse_by_kind).any(|(b, r)| *b + *r > 0);
     if any_kind {
@@ -1788,8 +1751,6 @@ fn render_json(
     out.push_str(&format!("    \"phases\": {},\n", json_str(&args.phases)));
     out.push_str(&format!("    \"cache_entries\": {},\n", args.cache_entries));
     out.push_str(&format!("    \"dynconn\": {},\n", !args.no_dynconn));
-    out.push_str(&format!("    \"kernel\": {},\n", args.kernel));
-    out.push_str(&format!("    \"kernel_threshold\": {},\n", args.kernel_threshold));
     out.push_str(&format!("    \"remote\": {},\n", json_opt_str(args.remote.as_ref())));
     out.push_str(&format!(
         "    \"connections\": {}\n",
@@ -1828,22 +1789,7 @@ fn render_json(
         out.push_str(&format!("    \"cut_certified_skips\": {},\n", s.cut_certified_skips));
         out.push_str(&format!("    \"batches\": {},\n", s.batches));
         out.push_str(&format!("    \"batched_reads\": {},\n", s.batched_reads));
-        out.push_str(&format!("    \"cross_batches\": {},\n", s.cross_batches));
-        out.push_str(&format!("    \"kernel_builds\": {},\n", s.index.kernel_builds));
-        out.push_str(&format!("    \"kernel_reuses\": {},\n", s.index.kernel_reuses));
-        out.push_str(&format!("    \"kernel_patches\": {},\n", s.index.kernel_patches));
-        out.push_str(&format!(
-            "    \"kernel_rules_applied\": {},\n",
-            s.index.kernel_rules_applied()
-        ));
-        out.push_str(&format!(
-            "    \"kernel_vertex_ratio\": {:.4},\n",
-            s.index.kernel_vertex_ratio()
-        ));
-        out.push_str(&format!("    \"kernel_cut_serves\": {},\n", s.kernel_cut_serves));
-        out.push_str(&format!("    \"kernel_cut_fallbacks\": {},\n", s.kernel_cut_fallbacks));
-        out.push_str(&format!("    \"kernel_parallel_cuts\": {},\n", s.kernel_parallel_cuts));
-        out.push_str(&format!("    \"kernel_helpers_borrowed\": {}\n", s.kernel_helpers_borrowed));
+        out.push_str(&format!("    \"cross_batches\": {}\n", s.cross_batches));
         out.push_str("  },\n");
     }
 

@@ -1,27 +1,20 @@
-//! Replay of the pinned whale trace (`traces/whale.trace`): an
-//! adversarial s-t-heavy phase mix over one large sparse graph, generated
-//! by `stress --phases whale --ops 2000 --seed 7`. The trace pins three
-//! things at once:
+//! Replay of the pinned traces under `traces/`, each through a plain
+//! [`Engine`] and through a four-shard [`ShardedEngine`]:
 //!
-//! 1. **Determinism** — the response log digests to the committed
-//!    constant, so workload generation, request formatting, and every
-//!    engine answer are all frozen.
-//! 2. **Kernel byte-identity** — a kernelized engine replays the exact
-//!    same log, byte for byte. Counters may move; responses may not.
-//! 3. **Kernel effectiveness** — the reduction genuinely fires on this
-//!    mix (rules applied, s-t serves) and sheds at least half the
-//!    vertices (the same `vertex_ratio <= 0.5` gate CI enforces).
+//! - `whale.trace`: an s-t-heavy phase mix over one large sparse graph,
+//!   generated by `stress --phases whale --ops 2000 --seed 7`;
+//! - `write_storm.trace`: a delete-heavy write storm, generated by
+//!   `stress --phases write-storm --ops 10000 --seed 7`.
 //!
-//! If an intentional engine change moves the digest, regenerate with the
-//! command above and update `WHALE_DIGEST` in the same commit.
+//! Both replays must digest to the committed constant, so workload
+//! generation, request formatting, every engine answer and the sharded
+//! front-end's response order are all frozen. This is the same digest
+//! `stress --trace-in <trace>` prints at any `--shards`.
+//!
+//! If an intentional engine change moves a digest, regenerate the trace
+//! with its command above and update the constant in the same commit.
 
-use cut_engine::{Engine, EngineConfig, Response, Workload};
-
-const WHALE_TRACE: &str = include_str!("../traces/whale.trace");
-
-/// The digest `stress --trace-in traces/whale.trace` prints, at any shard
-/// count, with `--kernel` on or off.
-const WHALE_DIGEST: u64 = 0xda29_c44a_450a_6ca4;
+use cut_engine::{Engine, Request, Response, ShardedEngine, Workload};
 
 /// FNV-1a, exactly as the stress driver folds its response log.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -33,48 +26,49 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Replay the workload through one engine, building the stress driver's
-/// log format (`{i:06} {request} -> {response}`, no timing).
-fn replay(workload: &Workload, cfg: EngineConfig) -> (String, Engine) {
-    let mut engine = Engine::with_config(cfg);
-    let mut log = String::with_capacity(workload.len() * 64);
-    for (i, request) in workload.all_requests().enumerate() {
-        let response = engine.execute(request.clone());
-        assert!(
-            !matches!(response, Response::Error { .. }),
-            "whale trace op {i} errored: {response}"
-        );
+/// Build the stress driver's log format (`{i:06} {request} -> {response}`,
+/// no timing) from the requests and their responses, in submission order.
+fn log<'a>(
+    requests: impl Iterator<Item = &'a Request>,
+    responses: impl Iterator<Item = Response>,
+) -> String {
+    let mut log = String::new();
+    for (i, (request, response)) in requests.zip(responses).enumerate() {
+        assert!(!matches!(response, Response::Error { .. }), "op {i} errored: {response}");
         log.push_str(&format!("{i:06} {request} -> {response}\n"));
     }
-    (log, engine)
+    log
+}
+
+/// Replay `trace` at one shard and at four; both logs must digest to
+/// `digest`.
+fn check_pinned(name: &str, trace: &str, digest: u64) {
+    let workload = Workload::from_trace(trace).expect("committed trace parses");
+
+    let mut engine = Engine::new();
+    let responses: Vec<Response> =
+        workload.all_requests().map(|r| engine.execute(r.clone())).collect();
+    let plain = log(workload.all_requests(), responses.into_iter());
+    assert_eq!(
+        fnv1a(plain.as_bytes()),
+        digest,
+        "{name} digest moved — regenerate traces/{name}.trace and update its \
+         digest if the change is intentional"
+    );
+
+    let mut sharded = ShardedEngine::new(4);
+    let tickets: Vec<_> = workload.all_requests().map(|r| sharded.submit(r.clone())).collect();
+    let four = log(workload.all_requests(), tickets.into_iter().map(|t| t.wait()));
+    sharded.shutdown();
+    assert!(plain == four, "{name} replay at 4 shards diverged from the 1-shard log");
 }
 
 #[test]
-fn whale_trace_digest_is_pinned_and_kernel_invariant() {
-    let workload = Workload::from_trace(WHALE_TRACE).expect("committed trace parses");
+fn whale_trace_digest_is_pinned_at_shards_1_and_4() {
+    check_pinned("whale", include_str!("../traces/whale.trace"), 0xda29_c44a_450a_6ca4);
+}
 
-    let (plain_log, plain) = replay(&workload, EngineConfig::default());
-    let (kernel_log, kernelized) =
-        replay(&workload, EngineConfig { kernel: true, ..EngineConfig::default() });
-
-    assert_eq!(
-        fnv1a(plain_log.as_bytes()),
-        WHALE_DIGEST,
-        "unkernelized whale digest moved — regenerate traces/whale.trace \
-         and update WHALE_DIGEST if the change is intentional"
-    );
-    assert!(plain_log == kernel_log, "kernelized replay diverged from the unkernelized log");
-
-    // The replay must have exercised the kernel, not bypassed it.
-    let stats = kernelized.stats();
-    assert!(stats.index.kernel_rules_applied() > 0, "no reduction rules fired");
-    assert!(stats.kernel_cut_serves > 0, "kernel never served a cut");
-    assert!(stats.index.kernel_builds > 0, "kernel never built");
-    assert!(stats.index.kernel_patches > 0, "whale insert phase never patched");
-    let ratio = stats.index.kernel_vertex_ratio();
-    assert!(ratio <= 0.5, "whale kernel kept {ratio:.4} of vertices; the gate requires <= 0.5");
-
-    // The plain engine's counters prove the baseline truly ran unkernelized.
-    assert_eq!(plain.stats().index.kernel_builds, 0);
-    assert_eq!(plain.stats().kernel_cut_serves, 0);
+#[test]
+fn write_storm_trace_digest_is_pinned_at_shards_1_and_4() {
+    check_pinned("write_storm", include_str!("../traces/write_storm.trace"), 0x61ae_c3fb_8cff_a132);
 }

@@ -31,13 +31,11 @@ pub mod intervals;
 pub mod kcut;
 pub mod mincut;
 pub mod model;
-pub mod parallel;
 pub mod priorities;
 pub mod singleton;
 
 pub use contraction::{contract_prefix, contraction_oracle};
 pub use kcut::{apx_split, KCutOptions, KCutResult};
 pub use mincut::{approx_min_cut, MinCutOptions};
-pub use parallel::par_approx_min_cut;
 pub use priorities::exponential_priorities;
 pub use singleton::{smallest_singleton_cut, SingletonCut, SingletonEngine};

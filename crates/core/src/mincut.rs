@@ -96,10 +96,8 @@ pub fn repetition_count(n: usize, opts: &MinCutOptions) -> usize {
 
 /// One independent repetition of the boosted recursion. Each repetition
 /// seeds its own RNG from `opts.seed + rep`, so repetitions share no
-/// random state — the property the borrowed-worker parallel kernel
-/// ([`crate::parallel`]) relies on to fan repetitions out across threads
-/// and still merge to the byte-identical sequential answer.
-pub fn approx_min_cut_repetition(g: &Graph, opts: &MinCutOptions, rep: u64) -> CutResult {
+/// random state and the result depends only on `(g, opts, rep)`.
+fn approx_min_cut_repetition(g: &Graph, opts: &MinCutOptions, rep: u64) -> CutResult {
     assert!(g.n() >= 2, "a cut needs at least two vertices");
     let mut rng = SmallRng::seed_from_u64(opts.seed.wrapping_add(rep));
     solve(g, g.n(), opts, &mut rng, 0)

@@ -26,16 +26,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use cut_graph::{stoer_wagner, CutResult, Edge, Graph};
-use cut_index::{ConnRead, GraphIndex, IndexStats, KernelRead, LruCache};
+use cut_index::{ConnRead, GraphIndex, IndexStats, LruCache};
 use cut_obs::{Clock, Registry};
 use mincut_core::{
-    approx_min_cut, apx_split, exponential_priorities, par_approx_min_cut, smallest_singleton_cut,
-    KCutOptions, MinCutOptions,
+    approx_min_cut, apx_split, exponential_priorities, smallest_singleton_cut, KCutOptions,
+    MinCutOptions,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::pool::CutPool;
 use crate::request::{
     decode_name, encode_name, GraphSpec, Mutation, Query, Request, Response, QUERY_KINDS,
 };
@@ -88,24 +87,6 @@ pub struct EngineConfig {
     /// and unconditional recomputes — responses are byte-identical either
     /// way (CI `cmp`-gates this); only the work counters move.
     pub dynamic_index: bool,
-    /// Run the exact reduction kernel (`cut_index::kernel`) in front of
-    /// global and s-t cut queries: disconnected exact/approx answers are
-    /// served from the kernel's component summary without a CSR, s-t
-    /// weights from the stage-1 kernel when both endpoints resolve, and
-    /// large kernels fan approximate-cut repetitions out over the
-    /// borrowed-worker [`pool`](EngineConfig::pool). Responses are
-    /// byte-identical either way (CI `cmp`-gates this at shards {1, 4});
-    /// only the work counters move. Default off.
-    pub kernel: bool,
-    /// Minimum stage-2 kernel size (surviving vertices) before an
-    /// approximate cut borrows workers from the pool. Small kernels are
-    /// cheaper to cut than to coordinate.
-    pub kernel_threshold: usize,
-    /// Idle-shard capacity ledger the kernel path borrows helpers from.
-    /// The default (disabled) pool lends nothing, which is what a plain
-    /// single-threaded [`Engine`] runs with; the sharded front-end
-    /// injects a shared enabled pool when `kernel` is on.
-    pub pool: CutPool,
 }
 
 impl Default for EngineConfig {
@@ -118,16 +99,9 @@ impl Default for EngineConfig {
             max_cache_entries: 4096,
             resident_cap: 0,
             dynamic_index: true,
-            kernel: false,
-            kernel_threshold: 64,
-            pool: CutPool::default(),
         }
     }
 }
-
-/// Most helpers one approximate cut will borrow: repetitions beyond this
-/// rarely amortize the thread spawns on the CI box's core counts.
-const MAX_KERNEL_HELPERS: usize = 4;
 
 /// Named ops between residency-heat half-life decays — the same window
 /// length the placement table defaults to, so "cold" means the same thing
@@ -192,18 +166,6 @@ pub struct EngineStats {
     /// could have changed it. Counted *alongside* `cache_misses` — the
     /// carry mimics a recompute byte-for-byte, it just skips the work.
     pub cut_certified_skips: u64,
-    /// Cut queries answered straight from the reduction kernel (component
-    /// summary for disconnected exact/approx, stage-1 resolution for s-t)
-    /// — byte-identical to the full computation, minus the work.
-    pub kernel_cut_serves: u64,
-    /// Kernel-eligible s-t queries whose endpoints did not resolve (a
-    /// deg-2 smoothing dissolved them), falling back to the full graph.
-    pub kernel_cut_fallbacks: u64,
-    /// Approximate cuts that fanned repetitions out over borrowed
-    /// workers.
-    pub kernel_parallel_cuts: u64,
-    /// Total helpers borrowed across those cuts.
-    pub kernel_helpers_borrowed: u64,
     /// Batched read runs that coalesced queries across more than one
     /// graph (the cross-graph batching fix: a run no longer breaks at a
     /// graph-name change, only at barriers).
@@ -244,10 +206,6 @@ impl EngineStats {
             serve_nanos,
             cut_recomputes,
             cut_certified_skips,
-            kernel_cut_serves,
-            kernel_cut_fallbacks,
-            kernel_parallel_cuts,
-            kernel_helpers_borrowed,
             cross_batches,
         } = *other;
         self.queries += queries;
@@ -275,10 +233,6 @@ impl EngineStats {
         self.serve_nanos += serve_nanos;
         self.cut_recomputes += cut_recomputes;
         self.cut_certified_skips += cut_certified_skips;
-        self.kernel_cut_serves += kernel_cut_serves;
-        self.kernel_cut_fallbacks += kernel_cut_fallbacks;
-        self.kernel_parallel_cuts += kernel_parallel_cuts;
-        self.kernel_helpers_borrowed += kernel_helpers_borrowed;
         self.cross_batches += cross_batches;
     }
 
@@ -309,10 +263,6 @@ impl EngineStats {
             serve_nanos,
             cut_recomputes,
             cut_certified_skips,
-            kernel_cut_serves,
-            kernel_cut_fallbacks,
-            kernel_parallel_cuts,
-            kernel_helpers_borrowed,
             cross_batches,
         } = *self;
         reg.inc("engine_queries", queries);
@@ -345,18 +295,6 @@ impl EngineStats {
         reg.inc("engine_serve_nanos_total", serve_nanos);
         reg.inc("engine_cut_recomputes", cut_recomputes);
         reg.inc("engine_cut_certified_skips", cut_certified_skips);
-        reg.inc("engine_kernel_builds", index.kernel_builds);
-        reg.inc("engine_kernel_reuses", index.kernel_reuses);
-        reg.inc("engine_kernel_patches", index.kernel_patches);
-        reg.inc("engine_kernel_rules_deg1", index.kernel_rules_deg1);
-        reg.inc("engine_kernel_rules_deg2", index.kernel_rules_deg2);
-        reg.inc("engine_kernel_rules_heavy", index.kernel_rules_heavy);
-        reg.inc("engine_kernel_in_vertices", index.kernel_in_vertices);
-        reg.inc("engine_kernel_out_vertices", index.kernel_out_vertices);
-        reg.inc("engine_kernel_cut_serves", kernel_cut_serves);
-        reg.inc("engine_kernel_cut_fallbacks", kernel_cut_fallbacks);
-        reg.inc("engine_kernel_parallel_cuts", kernel_parallel_cuts);
-        reg.inc("engine_kernel_helpers_borrowed", kernel_helpers_borrowed);
         reg.inc("engine_cross_batches", cross_batches);
     }
 }
@@ -1441,20 +1379,6 @@ fn compute_query(
             if n < 2 {
                 return Response::Error { message: "min cut needs n >= 2".into() };
             }
-            if cfg.kernel {
-                let facts = kernel_probe(entry, stats);
-                if facts.components > 1 {
-                    // The kernel's component summary *is* the
-                    // disconnected answer (weight 0, side = vertex 0's
-                    // component) — no CSR, no scan.
-                    stats.kernel_cut_serves += 1;
-                    return Response::CutValue {
-                        weight: 0,
-                        side_size: facts.component0_size,
-                        cached: false,
-                    };
-                }
-            }
             let g = track(entry, csr, obs);
             match disconnected_cut(g) {
                 Some(cut) => cut_response(&cut),
@@ -1471,31 +1395,6 @@ fn compute_query(
                 repetitions: cfg.repetitions,
                 seed,
             };
-            if cfg.kernel {
-                let facts = kernel_probe(entry, stats);
-                if facts.components > 1 {
-                    stats.kernel_cut_serves += 1;
-                    return Response::CutValue {
-                        weight: 0,
-                        side_size: facts.component0_size,
-                        cached: false,
-                    };
-                }
-                let g = track(entry, csr, obs);
-                if facts.n_out >= cfg.kernel_threshold {
-                    // A big residual kernel means a genuinely expensive
-                    // cut: borrow parked shard workers and fan the
-                    // independent repetitions out. The merge is the
-                    // sequential fold, so the response bytes cannot move.
-                    let loan = cfg.pool.borrow(MAX_KERNEL_HELPERS);
-                    if loan.helpers() > 0 {
-                        stats.kernel_parallel_cuts += 1;
-                        stats.kernel_helpers_borrowed += loan.helpers() as u64;
-                    }
-                    return cut_response(&par_approx_min_cut(g, &opts, loan.helpers()));
-                }
-                return cut_response(&approx_min_cut(g, &opts));
-            }
             let g = track(entry, csr, obs);
             if let Some(cut) = disconnected_cut(g) {
                 return cut_response(&cut);
@@ -1542,69 +1441,11 @@ fn compute_query(
             if s == t {
                 return Response::Error { message: "st-cut needs s != t".into() };
             }
-            if cfg.kernel {
-                let resolved = {
-                    let (kernel, read) = entry.index.kernel(entry.n, &entry.edges);
-                    fold_kernel_read(stats, read);
-                    // Exact when both endpoints resolve through stage-1
-                    // chains: max-flow runs on the reduced graph (or not
-                    // at all, for same-host pendant pairs).
-                    kernel.st_cut_weight(s, t)
-                };
-                match resolved {
-                    Some(weight) => {
-                        stats.kernel_cut_serves += 1;
-                        return Response::CutValue { weight, side_size: 0, cached: false };
-                    }
-                    None => stats.kernel_cut_fallbacks += 1,
-                }
-            }
             let g = track(entry, csr, obs);
             let weight = cut_graph::maxflow::min_st_cut(g, s, t);
             Response::CutValue { weight, side_size: 0, cached: false }
         }
     }
-}
-
-/// Serving facts copied out of the (freshly built, patched, or reused)
-/// kernel so the borrow on the entry's index can end before `track`.
-struct KernelFacts {
-    components: usize,
-    component0_size: usize,
-    n_out: usize,
-}
-
-fn kernel_probe(entry: &mut GraphEntry, stats: &mut EngineStats) -> KernelFacts {
-    let (kernel, read) = entry.index.kernel(entry.n, &entry.edges);
-    let facts = KernelFacts {
-        components: kernel.components(),
-        component0_size: kernel.component0_size(),
-        n_out: kernel.n_out(),
-    };
-    fold_kernel_read(stats, read);
-    facts
-}
-
-fn fold_kernel_read(stats: &mut EngineStats, read: KernelRead) {
-    let delta = match read {
-        KernelRead::Reused => {
-            stats.index.kernel_reuses += 1;
-            return;
-        }
-        KernelRead::Built(delta) => {
-            stats.index.kernel_builds += 1;
-            delta
-        }
-        KernelRead::Patched(delta) => {
-            stats.index.kernel_patches += 1;
-            delta
-        }
-    };
-    stats.index.kernel_rules_deg1 += delta.deg1;
-    stats.index.kernel_rules_deg2 += delta.deg2;
-    stats.index.kernel_rules_heavy += delta.heavy;
-    stats.index.kernel_in_vertices += delta.in_vertices;
-    stats.index.kernel_out_vertices += delta.out_vertices;
 }
 
 /// For disconnected graphs the global min cut is 0 (any one component
@@ -2157,157 +1998,6 @@ mod tests {
             query(&mut c, "g", Query::ExactMinCut),
             Response::CutValue { weight: 2, .. }
         ));
-    }
-
-    #[test]
-    fn kernel_mode_never_changes_responses() {
-        // The byte-identity contract, at the engine layer: a kernelized
-        // engine and a plain one, fed the same request stream (creates,
-        // patchable inserts, invalidating deletes, every cut query kind,
-        // a disconnected graph for the component-summary serve), must
-        // produce element-wise equal responses — and the kernel path
-        // must actually fire, or the test pins nothing.
-        let mut kernelized = Engine::with_config(EngineConfig {
-            kernel: true,
-            kernel_threshold: 4,
-            ..EngineConfig::default()
-        });
-        let mut plain = Engine::new();
-
-        let mut requests: Vec<Request> = vec![
-            // Sparse: plenty of deg-1/deg-2 structure for stage 1.
-            Request::Create {
-                name: "link".into(),
-                spec: GraphSpec::ConnectedGnm { n: 32, m: 38, w_min: 1, w_max: 9, seed: 11 },
-            },
-            // Disconnected: exact/approx serve from the component summary.
-            Request::Create {
-                name: "split".into(),
-                spec: GraphSpec::Edges {
-                    n: 6,
-                    edges: vec![(0, 1, 2), (1, 2, 2), (3, 4, 5), (4, 5, 5)],
-                },
-            },
-            // K6: every vertex has degree 5, so all survive stage 1 and
-            // inserts hit the live-endpoint patch path.
-            Request::Create {
-                name: "dense".into(),
-                spec: GraphSpec::Edges {
-                    n: 6,
-                    edges: (0..6u32).flat_map(|i| (i + 1..6).map(move |j| (i, j, 3u64))).collect(),
-                },
-            },
-        ];
-        for round in 0..25u64 {
-            let (s, t) = ((round % 13) as u32, 31 - (round % 11) as u32);
-            requests.push(Request::Query { name: "link".into(), query: Query::ExactMinCut });
-            requests.push(Request::Query {
-                name: "link".into(),
-                query: Query::ApproxMinCut { seed: round },
-            });
-            requests
-                .push(Request::Query { name: "link".into(), query: Query::StCutWeight { s, t } });
-            requests.push(Request::Query {
-                name: "link".into(),
-                query: Query::SingletonCut { seed: round },
-            });
-            requests.push(Request::Query { name: "split".into(), query: Query::ExactMinCut });
-            requests.push(Request::Query {
-                name: "split".into(),
-                query: Query::ApproxMinCut { seed: round },
-            });
-            requests.push(Request::Query {
-                name: "split".into(),
-                query: Query::StCutWeight { s: 0, t: 4 },
-            });
-            requests.push(Request::Query { name: "dense".into(), query: Query::ExactMinCut });
-            if round % 2 == 0 {
-                requests.push(Request::Mutate {
-                    name: "dense".into(),
-                    op: Mutation::InsertEdge {
-                        u: (round % 6) as u32,
-                        v: ((round + 2) % 6) as u32,
-                        w: 1 + round % 4,
-                    },
-                });
-            }
-            let (u, v) = ((round % 32) as u32, ((round * 7 + 3) % 32) as u32);
-            match round % 3 {
-                // Live-endpoint inserts exercise the patch path...
-                0 => requests.push(Request::Mutate {
-                    name: "link".into(),
-                    op: Mutation::InsertEdge { u, v, w: 1 + round % 6 },
-                }),
-                // ...and deleting last round's insert forces rebuilds.
-                1 => {
-                    let (u, v) = (((round - 1) % 32) as u32, (((round - 1) * 7 + 3) % 32) as u32);
-                    requests.push(Request::Mutate {
-                        name: "link".into(),
-                        op: Mutation::DeleteEdge { u, v },
-                    });
-                }
-                _ => {}
-            }
-        }
-        for req in requests {
-            assert_eq!(kernelized.execute(req.clone()), plain.execute(req));
-        }
-        let stats = kernelized.stats();
-        assert!(stats.kernel_cut_serves > 0, "kernel path never served");
-        assert!(stats.kernel_cut_fallbacks > 0, "fallback path never exercised");
-        assert!(stats.index.kernel_builds > 0, "kernel never built");
-        assert!(stats.index.kernel_patches > 0, "insert stream never patched");
-        assert_eq!(plain.stats().kernel_cut_serves, 0, "plain engine must not kernelize");
-    }
-
-    #[test]
-    fn export_roundtrip_rebuilds_kernel_cleanly() {
-        // The kernel is a derived cache: it must not serialize with the
-        // graph. A populated kernel cache at export time leaves the trace
-        // grammar untouched, and the importing engine rebuilds its own
-        // kernel from the moved edge list.
-        let cfg = EngineConfig { kernel: true, kernel_threshold: 4, ..EngineConfig::default() };
-        let spec = GraphSpec::ConnectedGnm { n: 24, m: 29, w_min: 1, w_max: 7, seed: 5 };
-        let mut a = Engine::with_config(cfg.clone());
-        create(&mut a, "g", spec.clone());
-        let warmed = query(&mut a, "g", Query::ExactMinCut);
-        query(&mut a, "g", Query::StCutWeight { s: 1, t: 17 });
-        assert!(a.stats().index.kernel_builds >= 1, "kernel cache must be warm before export");
-
-        let trace = a.export_graph("g").expect("registered").to_trace();
-        for line in trace.lines() {
-            let head = line.split_whitespace().next().unwrap_or("");
-            assert!(
-                matches!(head, "graph" | "edges" | "cache" | "end")
-                    || head.chars().next().is_some_and(|c| c.is_ascii_digit()),
-                "unexpected trace section {head:?}: the kernel must not serialize"
-            );
-        }
-
-        let mut b = Engine::with_config(cfg);
-        b.import_graph(GraphExport::from_trace(&trace, 4096).expect("well-formed trace"))
-            .expect("no collision");
-
-        // An unkernelized oracle replays the same history from scratch.
-        let mut oracle = Engine::new();
-        create(&mut oracle, "g", spec);
-        assert_eq!(query(&mut oracle, "g", Query::ExactMinCut), warmed);
-        for e in [&mut b, &mut oracle] {
-            let r = e.execute(Request::Mutate {
-                name: "g".into(),
-                op: Mutation::InsertEdge { u: 0, v: 9, w: 2 },
-            });
-            assert!(matches!(r, Response::Mutated { .. }), "got {r}");
-        }
-        for q in [
-            Query::ExactMinCut,
-            Query::StCutWeight { s: 1, t: 17 },
-            Query::StCutWeight { s: 0, t: 9 },
-            Query::ApproxMinCut { seed: 3 },
-        ] {
-            assert_eq!(query(&mut b, "g", q), query(&mut oracle, "g", q));
-        }
-        assert!(b.stats().index.kernel_builds >= 1, "import must rebuild the kernel");
     }
 
     #[test]

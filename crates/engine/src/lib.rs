@@ -100,7 +100,6 @@
 //! protocol.
 
 pub mod engine;
-pub mod pool;
 pub mod request;
 pub mod shard;
 pub mod store_api;
@@ -116,7 +115,6 @@ pub use cut_obs::{
 };
 pub use engine::BATCH_BUCKET_LABELS;
 pub use engine::{batch_bucket, Engine, EngineConfig, EngineStats, GraphExport, BATCH_BUCKETS};
-pub use pool::{CutLoan, CutPool};
 pub use request::{GraphSpec, Mutation, Query, Request, Response, QUERY_KINDS};
 pub use shard::{PlacementOptions, PlacementReport, ShardOptions, ShardedEngine, Ticket};
 pub use store_api::{GraphStore, RecoveredGraph};

@@ -98,7 +98,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvE
 use cut_obs::{span_flags, Clock, MonotonicClock, Registry, SlowLog, Span};
 
 use crate::engine::{serve_query, Engine, EngineConfig, EngineStats, GraphEntry, ObsScratch};
-use crate::pool::CutPool;
 use crate::request::{Request, Response};
 use crate::store_api::GraphStore;
 
@@ -684,14 +683,6 @@ impl ShardedEngine {
     /// the stress harness caps at 1024).
     pub fn with_options(shards: usize, opts: ShardOptions) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
-        let mut opts = opts;
-        // With the kernel on, every shard's engine shares one idle-worker
-        // ledger: a worker parking with an empty queue becomes loanable
-        // capacity for whichever shard is chewing a whale cut. (The plain
-        // Engine keeps the disabled pool: nobody to borrow from.)
-        if opts.cfg.kernel && shards > 1 && !opts.cfg.pool.is_enabled() {
-            opts.cfg.pool = CutPool::enabled();
-        }
         let queues: Arc<Vec<ShardQueue>> =
             Arc::new((0..shards).map(|_| ShardQueue::default()).collect());
         let placement = opts.placement;
@@ -1274,10 +1265,6 @@ impl Worker {
                 std::thread::sleep(POLL);
                 continue;
             }
-            // A parked worker's core is loanable: register it with the
-            // kernel pool for the duration of the wait (no-op when the
-            // pool is disabled).
-            self.opts.cfg.pool.enter_idle();
             if self.opts.placement.steal || self.pending.is_some() {
                 // Bounded park: steal opportunities and pending loans need
                 // periodic re-polling even while this queue sleeps.
@@ -1285,7 +1272,6 @@ impl Worker {
             } else {
                 drop(self.queues[self.id].cv.wait(st).expect("queue lock poisoned"));
             }
-            self.opts.cfg.pool.leave_idle();
         }
     }
 
@@ -2262,79 +2248,6 @@ mod tests {
         }
         assert_eq!(total.queries, plain.stats().queries);
         assert_eq!(total.cache_hits, plain.stats().cache_hits);
-        assert_eq!(total.mutations, plain.stats().mutations);
-    }
-
-    #[test]
-    fn migrations_with_kernel_caches_preserve_responses() {
-        // Kernelized shards under a dense migration schedule: graphs move
-        // between workers with their kernel caches *not* travelling (the
-        // kernel is per-engine derived state), so the destination rebuilds
-        // — and every response must still equal an unkernelized,
-        // unsharded engine's, cached flags included.
-        let placement = PlacementOptions {
-            rebalance: true,
-            window: 3,
-            max_moves: 4,
-            ..PlacementOptions::default()
-        };
-        let cfg = EngineConfig { kernel: true, kernel_threshold: 4, ..EngineConfig::default() };
-        let mut sharded = ShardedEngine::with_options(
-            3,
-            ShardOptions { cfg, placement, ..ShardOptions::default() },
-        );
-        let mut plain = Engine::new();
-
-        let mut requests: Vec<Request> = Vec::new();
-        for i in 0..4usize {
-            // Sparse connected graphs: rich stage-1 structure, so the
-            // kernel path genuinely serves s-t reads.
-            requests.push(Request::Create {
-                name: format!("g{i}"),
-                spec: GraphSpec::ConnectedGnm {
-                    n: 18 + i,
-                    m: 22 + i,
-                    w_min: 1,
-                    w_max: 8,
-                    seed: i as u64,
-                },
-            });
-        }
-        for round in 0..30u64 {
-            let (s, t) = ((round % 7) as u32, 17 - (round % 5) as u32);
-            requests.push(Request::Query { name: "g0".into(), query: Query::ExactMinCut });
-            requests.push(Request::Query { name: "g0".into(), query: Query::StCutWeight { s, t } });
-            requests.push(Request::Query {
-                name: "g0".into(),
-                query: Query::ApproxMinCut { seed: round },
-            });
-            if round % 3 == 0 {
-                requests.push(Request::Mutate {
-                    name: "g0".into(),
-                    op: Mutation::InsertEdge { u: 0, v: 2 + (round % 9) as u32, w: 1 + round },
-                });
-            }
-            if round % 7 == 0 {
-                requests.push(Request::Query {
-                    name: format!("g{}", round % 4),
-                    query: Query::StCutWeight { s: 1, t: 16 },
-                });
-            }
-        }
-        for req in requests {
-            assert_eq!(sharded.execute(req.clone()), plain.execute(req));
-        }
-
-        let report = sharded.placement_report();
-        assert!(report.migrations > 0, "window=3 under hot skew must migrate");
-        let per_shard = sharded.shutdown();
-        let mut total = EngineStats::default();
-        for s in &per_shard {
-            total.merge(s);
-        }
-        assert!(total.kernel_cut_serves > 0, "kernel path never served");
-        assert!(total.index.kernel_builds > 0, "kernel never built");
-        assert_eq!(total.queries, plain.stats().queries);
         assert_eq!(total.mutations, plain.stats().mutations);
     }
 

@@ -608,24 +608,20 @@ impl Timeline {
         }
     }
 
-    /// The whale preset: the kernel showcase. Pair it with
-    /// [`WorkloadConfig::whale_n`] so `g000` is one huge sparse graph;
-    /// the timeline then runs a short warm-up ramp, a long cut-heavy
-    /// phase pinned to the whale (Zipf exponent forced to 1.6, so rank 0
-    /// — the whale — absorbs most traffic; the mix forces s-t and global
-    /// cut reads with a trickle of inserts that exercise kernel patching
-    /// and rarer deletes that force rebuilds), and a cool-down at the
-    /// configured mix. A sparse whale is exactly the shape the
-    /// Padberg–Rinaldi rules eat: most vertices are degree-1/-2 and the
-    /// kernel keeps `kernel_vertex_ratio` well under one half.
+    /// The whale preset: s-t and global cut reads on one large sparse
+    /// graph. Pair it with [`WorkloadConfig::whale_n`] so `g000` is the
+    /// whale; the timeline then runs a short warm-up ramp, a long
+    /// cut-heavy phase pinned to the whale (Zipf exponent forced to 1.6,
+    /// so rank 0 — the whale — absorbs most traffic; the mix forces s-t
+    /// and global cut reads with a trickle of inserts and rarer deletes),
+    /// and a cool-down at the configured mix.
     pub fn whale(ops: usize, rate: f64, mix: ActionMix, zipf_exponent: f64) -> Timeline {
         let ramp = ops / 8;
         let hunt = ops * 3 / 4;
         let cool = ops - ramp - hunt;
-        // Cut-read-heavy and mutation-light: inserts keep the kernel's
-        // patch path hot without drowning it, deletes (and no contracts)
-        // stay rare so cached kernels actually get reused, and the read
-        // mass sits on the queries the kernel accelerates.
+        // Cut-read-heavy and mutation-light: inserts and rarer deletes
+        // keep invalidating cached cuts, no contracts shrink the whale,
+        // and the read mass sits on s-t and global cuts of the whale.
         let hunt_mix = ActionMix {
             insert_edge: 8.0,
             delete_edge: 3.0,
@@ -1389,7 +1385,7 @@ mod tests {
             hunt.mix.st_cut > hunt.mix.connectivity,
             "the hunt is s-t-cut-heavy regardless of the configured mix"
         );
-        assert_eq!(hunt.mix.contract, 0.0, "contracts would churn the kernel cache away");
+        assert_eq!(hunt.mix.contract, 0.0, "contracts would shrink the whale mid-run");
         assert!(hunt.zipf_exponent > timeline.phases[0].zipf_exponent, "traffic pins the whale");
         // Ramp/cool keep the caller's mix.
         assert_eq!(timeline.phases[0].mix, ActionMix::default());

@@ -21,14 +21,7 @@
 //!     inserts union in O(α); deletes and contractions mark it dirty and
 //!     it is rebuilt lazily on the next legacy connectivity read;
 //!   - **running degree/weight summaries** (per-vertex weighted degrees,
-//!     total weight, edge count) maintained O(1) per edge mutation;
-//!   - a **generation-stamped reduction kernel** ([`Kernel`], exposed
-//!     through [`GraphIndex::kernel`]): Padberg–Rinaldi-style exact
-//!     reductions (degree-one/degree-two elimination, heavy-edge
-//!     contraction against a witnessed bound, component restriction)
-//!     that shrink the graph before any expensive cut, cached across
-//!     reads, patched across live-endpoint inserts, and invalidated by
-//!     everything else.
+//!     total weight, edge count) maintained O(1) per edge mutation.
 //! - [`LruCache`] — a real least-recently-used map (doubly-linked order
 //!   over an arena, O(1) get/insert/evict) replacing reset-on-full
 //!   policies; the engine keys it by query value.
@@ -61,10 +54,8 @@
 
 pub mod dynconn;
 pub mod index;
-pub mod kernel;
 pub mod lru;
 
 pub use dynconn::DynConn;
 pub use index::{ConnRead, GraphIndex, GraphSummary, IndexStats};
-pub use kernel::{Kernel, KernelDelta, KernelRead};
 pub use lru::LruCache;
