@@ -17,17 +17,13 @@
 //!   its timestamp regardless of how the engine is keeping up, and
 //!   reports **latency under load** (completion − scheduled arrival) per
 //!   phase, plus queue-depth-over-time samples. This is the regime where
-//!   bursts and popularity drift actually hurt — and where `--rebalance
-//!   --steal --latency-proxy` earn their keep.
+//!   bursts and popularity drift actually hurt.
 //!
 //! `--shards 1` (the default) replays through the single-threaded
 //! `Engine::execute` path; `--shards N` pipelines the same stream through
 //! an N-worker `ShardedEngine` (submission-order responses, so the digest
 //! is identical for any shard count) and additionally reports per-shard
-//! occupancy. `--batch` turns on read batching, `--rebalance` adaptive
-//! placement, `--steal` work stealing, `--latency-proxy` measured serve
-//! times as the rebalancer's load signal. None of these change a
-//! response, so the digest is invariant across every flag combination.
+//! occupancy.
 //!
 //! A workload can be saved and replayed byte-identically: `--trace-out
 //! PATH` writes the timestamped request stream, `--trace-in PATH` replays
@@ -41,8 +37,7 @@
 //! latency, and a per-connection throughput table is reported. At one
 //! connection the operation log — and therefore the digest — is
 //! byte-identical to an in-process run of the same flags, which is the
-//! CI loopback gate. Engine-side flags (`--shards`, `--batch`,
-//! `--rebalance`, `--steal`, `--latency-proxy`, `--cache-entries`) are
+//! CI loopback gate. Engine-side flags (`--shards`, `--cache-entries`) are
 //! *server* properties under a network split: pass them to `cut-server`,
 //! not to a `--remote` stress run.
 //!
@@ -64,7 +59,7 @@
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7 --shards 4
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7 --shards 4 \
-//!     --phases bursty --arrival poisson:20000 --rebalance --steal --latency-proxy
+//!     --phases bursty --arrival poisson:20000
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --trace-out /tmp/run.trace
 //! cargo run --release -p cut_bench --bin stress -- --trace-in /tmp/run.trace --shards 4
 //! cargo run --release -p cut_server --bin cut-server -- --shards 4 &
@@ -73,16 +68,14 @@
 //! ```
 //!
 //! Flags: `--ops N` `--seed S` `--graphs G` `--initial-n N` `--zipf Z`
-//! `--mix default|read-only|write-heavy` `--shards N` `--batch`
-//! `--rebalance` `--rebalance-window N` `--steal` `--latency-proxy`
+//! `--mix default|read-only|write-heavy` `--shards N`
 //! `--arrival closed|steady:R|poisson:R|bursts:B:P|diurnal:L:H`
 //! `--phases single|bursty|diurnal|flash` `--trace-out PATH`
 //! `--trace-in PATH` `--cache-entries N` `--dump-log PATH`
 //! `--remote ADDR` `--connections N` `--json-out PATH`
 //! `--metrics-out PATH` `--metrics-text PATH`. See
-//! `docs/WORKLOADS.md` for the workload model, `docs/SHARDING.md` for
-//! placement tuning, and `docs/PROTOCOL.md` for the wire format behind
-//! `--remote`.
+//! `docs/WORKLOADS.md` for the workload model and `docs/PROTOCOL.md` for
+//! the wire format behind `--remote`.
 //!
 //! **Durable mode** (`--data-dir PATH`, plus `--snapshot-every N`,
 //! `--resident-cap N`, `--fsync`): the engine write-ahead logs every
@@ -102,9 +95,9 @@ use std::time::{Duration, Instant};
 
 use cut_client::{ClientError, Connection, ReconnectPolicy, RemoteTicket};
 use cut_engine::{
-    ActionMix, ArrivalProcess, Engine, EngineConfig, EngineStats, GraphStore, Histogram,
-    PlacementOptions, PlacementReport, Registry, Request, Response, ShardOptions, ShardedEngine,
-    Ticket, Timeline, Workload, WorkloadConfig, BATCH_BUCKET_LABELS, QUERY_KINDS,
+    ActionMix, ArrivalProcess, Engine, EngineConfig, EngineStats, GraphStore, Histogram, Registry,
+    Request, Response, ShardOptions, ShardedEngine, Ticket, Timeline, Workload, WorkloadConfig,
+    QUERY_KINDS,
 };
 // FNV-1a over the log bytes — stable across runs and platforms.
 use cut_graph::hash::fnv1a;
@@ -190,11 +183,6 @@ struct Args {
     mix: ActionMix,
     mix_name: String,
     shards: usize,
-    batch: bool,
-    rebalance: bool,
-    rebalance_window: usize,
-    steal: bool,
-    latency_proxy: bool,
     arrival: ArrivalArg,
     phases: String,
     trace_out: Option<String>,
@@ -223,11 +211,6 @@ fn parse_args() -> Result<Args, String> {
         mix: ActionMix::default(),
         mix_name: "default".to_string(),
         shards: 1,
-        batch: false,
-        rebalance: false,
-        rebalance_window: PlacementOptions::default().window,
-        steal: false,
-        latency_proxy: false,
         arrival: ArrivalArg::Closed,
         phases: "single".to_string(),
         trace_out: None,
@@ -276,14 +259,6 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => {
                 args.shards = value(&mut i)?.parse().map_err(|e| format!("--shards: {e}"))?
             }
-            "--batch" => args.batch = true,
-            "--rebalance" => args.rebalance = true,
-            "--rebalance-window" => {
-                args.rebalance_window =
-                    value(&mut i)?.parse().map_err(|e| format!("--rebalance-window: {e}"))?
-            }
-            "--steal" => args.steal = true,
-            "--latency-proxy" => args.latency_proxy = true,
             "--arrival" => args.arrival = ArrivalArg::parse(&value(&mut i)?)?,
             "--phases" => args.phases = value(&mut i)?,
             "--trace-out" => args.trace_out = Some(value(&mut i)?),
@@ -316,8 +291,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "stress --ops N --seed S [--graphs G] [--initial-n N] [--zipf Z] \
-                     [--mix default|read-only|write-heavy] [--shards N] [--batch] \
-                     [--rebalance] [--rebalance-window N] [--steal] [--latency-proxy] \
+                     [--mix default|read-only|write-heavy] [--shards N] \
                      [--arrival closed|steady:R|poisson:R|bursts:B:P|diurnal:L:H] \
                      [--phases single|bursty|diurnal|flash|write-storm|whale] \
                      [--trace-out PATH] [--trace-in PATH] [--cache-entries N] [--no-dynconn] \
@@ -346,9 +320,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.cache_entries == 0 {
         return Err("--cache-entries must be at least 1".into());
-    }
-    if args.rebalance_window == 0 {
-        return Err("--rebalance-window must be at least 1".into());
     }
     if !matches!(
         args.phases.as_str(),
@@ -393,18 +364,12 @@ fn parse_args() -> Result<Args, String> {
     if args.remote.is_some() {
         // Under a network split the engine lives in the server process;
         // accepting these here would silently configure nothing.
-        let engine_flags_touched = args.shards != 1
-            || args.batch
-            || args.rebalance
-            || args.steal
-            || args.latency_proxy
-            || args.rebalance_window != PlacementOptions::default().window
-            || args.cache_entries != EngineConfig::default().max_cache_entries;
+        let engine_flags_touched =
+            args.shards != 1 || args.cache_entries != EngineConfig::default().max_cache_entries;
         if engine_flags_touched {
             return Err(
-                "--remote drives a cut-server: engine flags (--shards, --batch, --rebalance, \
-                 --rebalance-window, --steal, --latency-proxy, --cache-entries) belong on the \
-                 cut-server command line, not here"
+                "--remote drives a cut-server: engine flags (--shards, --cache-entries) belong \
+                 on the cut-server command line, not here"
                     .into(),
             );
         }
@@ -506,21 +471,13 @@ fn main() {
     // (the trace does) — print only what is actually in effect.
     if let Some(path) = &args.trace_in {
         println!(
-            "cut-engine stress: trace={path} shards={} batch={} rebalance={} steal={} \
-             latency-proxy={} cache-entries={} dynconn={}",
-            args.shards,
-            args.batch,
-            args.rebalance,
-            args.steal,
-            args.latency_proxy,
-            args.cache_entries,
-            !args.no_dynconn
+            "cut-engine stress: trace={path} shards={} cache-entries={} dynconn={}",
+            args.shards, args.cache_entries, !args.no_dynconn
         );
     } else {
         println!(
             "cut-engine stress: ops={} seed={} graphs={} initial-n={} zipf={} mix={} shards={} \
-             batch={} rebalance={} steal={} latency-proxy={} arrival={:?} phases={} \
-             cache-entries={} dynconn={}",
+             arrival={:?} phases={} cache-entries={} dynconn={}",
             args.ops,
             args.seed,
             args.graphs,
@@ -528,10 +485,6 @@ fn main() {
             args.zipf,
             args.mix_name,
             args.shards,
-            args.batch,
-            args.rebalance,
-            args.steal,
-            args.latency_proxy,
             args.arrival,
             args.phases,
             args.cache_entries,
@@ -594,26 +547,11 @@ fn main() {
         dynamic_index: !args.no_dynconn,
         ..EngineConfig::default()
     };
-    let placement = PlacementOptions {
-        rebalance: args.rebalance,
-        window: args.rebalance_window,
-        steal: args.steal,
-        latency_proxy: args.latency_proxy,
-        ..PlacementOptions::default()
-    };
     let opts = ShardOptions {
         cfg: engine_cfg.clone(),
-        batch: args.batch,
-        placement,
         store: store.clone().map(|s| s as Arc<dyn GraphStore>),
         ..ShardOptions::default()
     };
-    let sharded_path = args.shards > 1
-        || args.batch
-        || args.rebalance
-        || args.steal
-        || args.latency_proxy
-        || workload.is_open_loop();
     let mut report = if let Some(addr) = &args.remote {
         println!("remote: driving cut-server at {addr} over {} connection(s)", args.connections);
         if workload.is_open_loop() {
@@ -623,7 +561,7 @@ fn main() {
         }
     } else if workload.is_open_loop() {
         run_open_loop(&workload, args.shards, opts)
-    } else if !sharded_path {
+    } else if args.shards == 1 {
         run_single(&workload, engine_cfg, store.clone())
     } else {
         run_sharded(&workload, args.shards, opts)
@@ -650,7 +588,7 @@ fn main() {
             stats.hit_rate() * 100.0,
             stats.index.lru_evictions,
         );
-        print_index_efficiency(&stats, args.batch);
+        print_index_efficiency(&stats);
     }
 
     if let Some(latencies) = &mut report.latencies {
@@ -733,26 +671,13 @@ fn main() {
         let busy_total: u64 = occupancy.iter().map(|(_, s)| s.serve_nanos).sum::<u64>().max(1);
         println!();
         println!(
-            "{:<8} {:>8} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
-            "shard",
-            "routed",
-            "share",
-            "busy",
-            "graphs",
-            "queries",
-            "mutations",
-            "hit-rate",
-            "mig-in",
-            "mig-out",
-            "steals"
+            "{:<8} {:>8} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9}",
+            "shard", "routed", "share", "busy", "graphs", "queries", "mutations", "hit-rate"
         );
         for (shard, (routed, s)) in occupancy.iter().enumerate() {
-            // Graphs owned now: arrivals (creates + migrations in) minus
-            // departures (drops + migrations out).
-            let owned = (s.graphs_created + s.migrations_in) as i64
-                - (s.graphs_dropped + s.migrations_out) as i64;
+            let owned = s.graphs_created as i64 - s.graphs_dropped as i64;
             println!(
-                "{:<8} {:>8} {:>6.1}% {:>6.1}% {:>7} {:>9} {:>9} {:>8.1}% {:>7} {:>7} {:>7}",
+                "{:<8} {:>8} {:>6.1}% {:>6.1}% {:>7} {:>9} {:>9} {:>8.1}%",
                 shard,
                 routed,
                 *routed as f64 / routed_total as f64 * 100.0,
@@ -761,9 +686,6 @@ fn main() {
                 s.queries,
                 s.mutations,
                 s.hit_rate() * 100.0,
-                s.migrations_in,
-                s.migrations_out,
-                s.steal_batches,
             );
         }
         let max_share = occupancy.iter().map(|(r, _)| *r).max().unwrap_or(0) as f64
@@ -775,34 +697,6 @@ fn main() {
         println!(
             "max shard occupancy: {max_share:.1}% of routed requests, {max_busy:.1}% of busy time"
         );
-    }
-
-    if let Some(placement) = &report.placement {
-        let stats = &report.stats;
-        println!();
-        println!(
-            "placement: {} rebalances, {} migrations (generation {}){}",
-            placement.rebalances,
-            placement.migrations,
-            placement.generation,
-            if args.latency_proxy { "  [latency proxy]" } else { "" }
-        );
-        if stats.steal_batches > 0 {
-            println!(
-                "stealing: {} runs / {} reads served by idle shards (mean run {:.1})",
-                stats.steal_batches,
-                stats.steal_reads,
-                stats.steal_reads as f64 / stats.steal_batches as f64,
-            );
-        }
-        if !placement.assignments.is_empty() {
-            let assignment: Vec<String> = placement
-                .assignments
-                .iter()
-                .map(|(name, shard)| format!("{name}->s{shard}"))
-                .collect();
-            println!("final assignment: {}", assignment.join("  "));
-        }
     }
 
     if let Some(conn_stats) = &report.connections {
@@ -933,8 +827,8 @@ fn main() {
 }
 
 /// The index-efficiency section: how much per-request work the index
-/// layer (and, when enabled, the shard workers' read batching) absorbed.
-fn print_index_efficiency(stats: &EngineStats, batch: bool) {
+/// layer absorbed.
+fn print_index_efficiency(stats: &EngineStats) {
     let idx = &stats.index;
     println!();
     println!(
@@ -968,25 +862,6 @@ fn print_index_efficiency(stats: &EngineStats, batch: bool) {
                 avoided as f64 / (builds + avoided) as f64 * 100.0,
             );
         }
-    }
-
-    if batch {
-        let avg = if stats.batches == 0 {
-            0.0
-        } else {
-            stats.batched_reads as f64 / stats.batches as f64
-        };
-        println!(
-            "batching: {} read batches over {} reads (mean size {:.2})",
-            stats.batches, stats.batched_reads, avg,
-        );
-        let hist: Vec<String> = BATCH_BUCKET_LABELS
-            .iter()
-            .zip(&stats.batch_hist)
-            .filter(|(_, count)| **count > 0)
-            .map(|(label, count)| format!("{label}:{count}"))
-            .collect();
-        println!("batch sizes: {}", if hist.is_empty() { "-".into() } else { hist.join("  ") });
     }
 }
 
@@ -1027,8 +902,6 @@ struct RunReport {
     latencies: Option<BTreeMap<&'static str, Vec<u64>>>,
     /// `(requests routed, final per-shard stats)` — sharded path only.
     occupancy: Option<Vec<(u64, cut_engine::EngineStats)>>,
-    /// Adaptive-placement summary — sharded path only.
-    placement: Option<PlacementReport>,
     /// Latency-under-load measurements — open-loop path only.
     open: Option<OpenLoopReport>,
     /// `(ops submitted, error responses)` per connection — remote path
@@ -1084,7 +957,6 @@ fn run_single(workload: &Workload, cfg: EngineConfig, store: Option<Arc<Store>>)
         stats: engine.stats(),
         latencies: Some(latencies),
         occupancy: None,
-        placement: None,
         open: None,
         connections: None,
         metrics: Some(metrics),
@@ -1096,12 +968,8 @@ fn run_single(workload: &Workload, cfg: EngineConfig, store: Option<Arc<Store>>)
 /// are collected in submission order, so the log (and its digest) is
 /// byte-identical to the single-shard path.
 fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunReport {
-    // The placement section only belongs in reports where the adaptive
-    // layer was on; a plain --shards/--batch run keeps its old shape.
-    let adaptive = opts.placement.rebalance || opts.placement.steal;
-    /// In-flight cap: deep enough to keep every shard busy (and to give
-    /// batching workers real runs to coalesce), small enough that pending
-    /// tickets never hold more than a sliver of the log.
+    /// In-flight cap: deep enough to keep every shard busy, small enough
+    /// that pending tickets never hold more than a sliver of the log.
     const WINDOW: usize = 1024;
 
     let mut engine = ShardedEngine::with_options(shards, opts);
@@ -1136,7 +1004,6 @@ fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunRep
     let metrics = decode_metrics(engine.submit(Request::Metrics).wait());
 
     let routed = engine.routed().to_vec();
-    let placement = engine.placement_report();
     let per_shard = engine.shutdown();
     let mut stats = cut_engine::EngineStats::default();
     for s in &per_shard {
@@ -1150,7 +1017,6 @@ fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunRep
         stats,
         latencies: None,
         occupancy: Some(routed.into_iter().zip(per_shard).collect()),
-        placement: adaptive.then_some(placement),
         open: None,
         connections: None,
         metrics: Some(metrics),
@@ -1168,7 +1034,6 @@ fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunRep
 /// when they happen, not when an earlier slow request finally resolves.
 fn run_open_loop(workload: &Workload, shards: usize, opts: ShardOptions) -> RunReport {
     assert!(workload.is_open_loop(), "open-loop replay needs an arrival schedule");
-    let adaptive = opts.placement.rebalance || opts.placement.steal;
     let mut engine = ShardedEngine::with_options(shards, opts);
     let mut log = String::with_capacity(workload.len() * 64);
     let mut errors = 0usize;
@@ -1342,7 +1207,6 @@ fn run_open_loop(workload: &Workload, shards: usize, opts: ShardOptions) -> RunR
         .collect();
 
     let routed = engine.routed().to_vec();
-    let placement = engine.placement_report();
     let per_shard = engine.shutdown();
     let mut stats = cut_engine::EngineStats::default();
     for s in &per_shard {
@@ -1356,7 +1220,6 @@ fn run_open_loop(workload: &Workload, shards: usize, opts: ShardOptions) -> RunR
         stats,
         latencies: None,
         occupancy: Some(routed.into_iter().zip(per_shard).collect()),
-        placement: adaptive.then_some(placement),
         open: Some(OpenLoopReport {
             phases,
             horizon_nanos: workload.arrivals.last().copied().unwrap_or(0),
@@ -1474,7 +1337,6 @@ fn run_remote_closed(workload: &Workload, addr: &str, connections: usize) -> Run
         stats: EngineStats::default(),
         latencies: None,
         occupancy: None,
-        placement: None,
         open: None,
         connections: Some(conn_stats),
         metrics: Some(metrics),
@@ -1669,7 +1531,6 @@ fn run_remote_open(workload: &Workload, addr: &str, connections: usize) -> RunRe
         stats: EngineStats::default(),
         latencies: None,
         occupancy: None,
-        placement: None,
         open: Some(OpenLoopReport {
             phases,
             horizon_nanos: workload.arrivals.last().copied().unwrap_or(0),
@@ -1742,11 +1603,6 @@ fn render_json(
     out.push_str(&format!("    \"zipf\": {},\n", args.zipf));
     out.push_str(&format!("    \"mix\": {},\n", json_str(&args.mix_name)));
     out.push_str(&format!("    \"shards\": {},\n", args.shards));
-    out.push_str(&format!("    \"batch\": {},\n", args.batch));
-    out.push_str(&format!("    \"rebalance\": {},\n", args.rebalance));
-    out.push_str(&format!("    \"rebalance_window\": {},\n", args.rebalance_window));
-    out.push_str(&format!("    \"steal\": {},\n", args.steal));
-    out.push_str(&format!("    \"latency_proxy\": {},\n", args.latency_proxy));
     out.push_str(&format!("    \"arrival\": {},\n", json_str(&format!("{:?}", args.arrival))));
     out.push_str(&format!("    \"phases\": {},\n", json_str(&args.phases)));
     out.push_str(&format!("    \"cache_entries\": {},\n", args.cache_entries));
@@ -1786,10 +1642,7 @@ fn render_json(
         out.push_str(&format!("    \"dsu_rebuilds\": {},\n", s.index.dsu_rebuilds));
         out.push_str(&format!("    \"dsu_resizes\": {},\n", s.index.dsu_resizes));
         out.push_str(&format!("    \"cut_recomputes\": {},\n", s.cut_recomputes));
-        out.push_str(&format!("    \"cut_certified_skips\": {},\n", s.cut_certified_skips));
-        out.push_str(&format!("    \"batches\": {},\n", s.batches));
-        out.push_str(&format!("    \"batched_reads\": {},\n", s.batched_reads));
-        out.push_str(&format!("    \"cross_batches\": {}\n", s.cross_batches));
+        out.push_str(&format!("    \"cut_certified_skips\": {}\n", s.cut_certified_skips));
         out.push_str("  },\n");
     }
 
@@ -1858,29 +1711,17 @@ fn render_json(
             for (shard, (routed, s)) in occupancy.iter().enumerate() {
                 out.push_str(&format!(
                     "    {{\"shard\": {shard}, \"routed\": {routed}, \"serve_nanos\": {}, \
-                     \"queries\": {}, \"mutations\": {}, \"hit_rate\": {:.4}, \
-                     \"migrations_in\": {}, \"migrations_out\": {}, \"steal_batches\": {}}}{}\n",
+                     \"queries\": {}, \"mutations\": {}, \"hit_rate\": {:.4}}}{}\n",
                     s.serve_nanos,
                     s.queries,
                     s.mutations,
                     s.hit_rate(),
-                    s.migrations_in,
-                    s.migrations_out,
-                    s.steal_batches,
                     if shard == last { "" } else { "," },
                 ));
             }
             out.push_str("  ],\n");
         }
         None => out.push_str("  \"occupancy\": null,\n"),
-    }
-
-    match &report.placement {
-        Some(p) => out.push_str(&format!(
-            "  \"placement\": {{\"rebalances\": {}, \"migrations\": {}, \"generation\": {}}},\n",
-            p.rebalances, p.migrations, p.generation
-        )),
-        None => out.push_str("  \"placement\": null,\n"),
     }
 
     // Request-lifecycle telemetry from the end-of-run `stats metrics`

@@ -40,27 +40,6 @@ use crate::request::{
 };
 use crate::store_api::GraphStore;
 
-/// Number of buckets in [`EngineStats::batch_hist`]: sizes 1, 2, 3–4,
-/// 5–8, 9–16, 17–32, 33+.
-pub const BATCH_BUCKETS: usize = 7;
-
-/// The [`EngineStats::batch_hist`] bucket a read batch of `size` falls in.
-pub fn batch_bucket(size: usize) -> usize {
-    match size {
-        0..=1 => 0,
-        2 => 1,
-        3..=4 => 2,
-        5..=8 => 3,
-        9..=16 => 4,
-        17..=32 => 5,
-        _ => 6,
-    }
-}
-
-/// Human-readable labels for the [`EngineStats::batch_hist`] buckets.
-pub const BATCH_BUCKET_LABELS: [&str; BATCH_BUCKETS] =
-    ["1", "2", "3-4", "5-8", "9-16", "17-32", "33+"];
-
 /// Tunables shared by every query the engine serves.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -77,8 +56,8 @@ pub struct EngineConfig {
     pub max_cache_entries: usize,
     /// Resident-graph budget: with an attached store, at most this many
     /// graphs are kept in memory; the coldest (by windowed request-cost
-    /// heat, the same currency the placement rebalancer tracks) are
-    /// spilled to the store and faulted back on access. `0` = unlimited
+    /// heat, see [`Request::cost_weight`]) are spilled to the store and
+    /// faulted back on access. `0` = unlimited
     /// (no spilling). Ignored without a store.
     pub resident_cap: usize,
     /// Serve connectivity from the dynamic forest's O(1) labels and gate
@@ -103,9 +82,8 @@ impl Default for EngineConfig {
     }
 }
 
-/// Named ops between residency-heat half-life decays — the same window
-/// length the placement table defaults to, so "cold" means the same thing
-/// to the spiller as it does to the rebalancer.
+/// Named ops between residency-heat half-life decays: a graph that stops
+/// receiving traffic loses half its heat per window.
 const RESIDENCY_WINDOW: u64 = 512;
 
 /// Engine-level counters.
@@ -132,29 +110,10 @@ pub struct EngineStats {
     /// CSR snapshot reuses — builds avoided — per query kind (indexed by
     /// [`Query::kind_index`]).
     pub reuse_by_kind: [u64; QUERY_KINDS.len()],
-    /// Read batches executed through [`Engine::execute_read_batch`].
-    pub batches: u64,
-    /// Queries served inside those batches.
-    pub batched_reads: u64,
-    /// Batch size histogram (see [`batch_bucket`] / [`BATCH_BUCKET_LABELS`]).
-    pub batch_hist: [u64; BATCH_BUCKETS],
-    /// Graphs this engine received through [`Engine::import_graph`] — on a
-    /// shard, migrations that landed here.
-    pub migrations_in: u64,
-    /// Graphs this engine gave up through [`Engine::export_graph`] — on a
-    /// shard, migrations that left here.
-    pub migrations_out: u64,
-    /// Stolen read runs this worker executed on another shard's behalf
-    /// (thief-side; the runs' query/cache counters are merged into the
-    /// *owning* shard's stats so broadcast `Stats` answers stay exact).
-    pub steal_batches: u64,
-    /// Queries inside those stolen runs (thief-side).
-    pub steal_reads: u64,
     /// Nanoseconds spent actually serving requests. Filled by the sharded
-    /// front-end's workers (the plain engine does not time itself), and
-    /// attributed to the worker that did the work — stolen runs count on
-    /// the *thief*, unlike the logical query counters. Per-shard values
-    /// give the busy-time occupancy the stress report prints.
+    /// front-end's workers (the plain engine does not time itself).
+    /// Per-shard values give the busy-time occupancy the stress report
+    /// prints.
     pub serve_nanos: u64,
     /// Gated cut queries (exact/approx min cut, st-cut weight) that
     /// actually ran their algorithm — the expensive outcome the
@@ -166,10 +125,6 @@ pub struct EngineStats {
     /// could have changed it. Counted *alongside* `cache_misses` — the
     /// carry mimics a recompute byte-for-byte, it just skips the work.
     pub cut_certified_skips: u64,
-    /// Batched read runs that coalesced queries across more than one
-    /// graph (the cross-graph batching fix: a run no longer breaks at a
-    /// graph-name change, only at barriers).
-    pub cross_batches: u64,
 }
 
 impl EngineStats {
@@ -196,17 +151,9 @@ impl EngineStats {
             index,
             builds_by_kind,
             reuse_by_kind,
-            batches,
-            batched_reads,
-            batch_hist,
-            migrations_in,
-            migrations_out,
-            steal_batches,
-            steal_reads,
             serve_nanos,
             cut_recomputes,
             cut_certified_skips,
-            cross_batches,
         } = *other;
         self.queries += queries;
         self.cache_hits += cache_hits;
@@ -221,19 +168,9 @@ impl EngineStats {
         for (mine, theirs) in self.reuse_by_kind.iter_mut().zip(reuse_by_kind) {
             *mine += theirs;
         }
-        self.batches += batches;
-        self.batched_reads += batched_reads;
-        for (mine, theirs) in self.batch_hist.iter_mut().zip(batch_hist) {
-            *mine += theirs;
-        }
-        self.migrations_in += migrations_in;
-        self.migrations_out += migrations_out;
-        self.steal_batches += steal_batches;
-        self.steal_reads += steal_reads;
         self.serve_nanos += serve_nanos;
         self.cut_recomputes += cut_recomputes;
         self.cut_certified_skips += cut_certified_skips;
-        self.cross_batches += cross_batches;
     }
 
     /// Export every counter onto a telemetry [`Registry`] under the
@@ -253,17 +190,9 @@ impl EngineStats {
             index,
             builds_by_kind,
             reuse_by_kind,
-            batches,
-            batched_reads,
-            batch_hist,
-            migrations_in,
-            migrations_out,
-            steal_batches,
-            steal_reads,
             serve_nanos,
             cut_recomputes,
             cut_certified_skips,
-            cross_batches,
         } = *self;
         reg.inc("engine_queries", queries);
         reg.inc("engine_cache_hits", cache_hits);
@@ -283,19 +212,9 @@ impl EngineStats {
             reg.inc(&format!("engine_csr_builds_{kind}"), *builds);
             reg.inc(&format!("engine_csr_reuses_{kind}"), *reuses);
         }
-        reg.inc("engine_batches", batches);
-        reg.inc("engine_batched_reads", batched_reads);
-        for (i, c) in batch_hist.iter().enumerate() {
-            reg.inc(&format!("engine_batch_hist_{i}"), *c);
-        }
-        reg.inc("engine_migrations_in", migrations_in);
-        reg.inc("engine_migrations_out", migrations_out);
-        reg.inc("engine_steal_batches", steal_batches);
-        reg.inc("engine_steal_reads", steal_reads);
         reg.inc("engine_serve_nanos_total", serve_nanos);
         reg.inc("engine_cut_recomputes", cut_recomputes);
         reg.inc("engine_cut_certified_skips", cut_certified_skips);
-        reg.inc("engine_cross_batches", cross_batches);
     }
 }
 
@@ -327,15 +246,8 @@ pub(crate) struct ObsScratch {
 }
 
 impl ObsScratch {
-    /// Scratch with a clock already attached — for the sharded front-end's
-    /// thieves, which serve stolen runs against a borrowed entry outside
-    /// any engine and so need a local attribution scratch.
-    pub(crate) fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        ObsScratch { clock: Some(clock), ..ObsScratch::default() }
-    }
-
     /// Current clock reading, if a clock is attached.
-    pub(crate) fn now(&self) -> Option<u64> {
+    fn now(&self) -> Option<u64> {
         self.clock.as_ref().map(|c| c.now())
     }
 
@@ -347,7 +259,7 @@ impl ObsScratch {
     }
 
     /// Charge elapsed time since `t0` to the store-append bucket.
-    pub(crate) fn charge_store(&mut self, t0: Option<u64>) {
+    fn charge_store(&mut self, t0: Option<u64>) {
         if let (Some(t0), Some(clock)) = (t0, self.clock.as_ref()) {
             self.delta.store_nanos += clock.now().saturating_sub(t0);
         }
@@ -379,10 +291,7 @@ impl ObsScratch {
 /// One registered graph: its mutable edge list, the incremental index
 /// (generation-stamped CSR snapshot, DSU, summaries), the mutation epoch,
 /// and the per-epoch LRU query cache.
-///
-/// `pub(crate)` so the sharded front-end can move entries wholesale
-/// (migration, steal loans) and serve queries against a loaned entry.
-pub(crate) struct GraphEntry {
+struct GraphEntry {
     n: usize,
     edges: Vec<Edge>,
     /// The index layer: CSR snapshot, incremental DSU, running summaries.
@@ -495,8 +404,7 @@ impl Engine {
     }
 
     /// The telemetry scratch, for the sharded front-end's workers to
-    /// drain per-request attribution from (and for the steal path to
-    /// time loaned-entry serves against).
+    /// drain per-request attribution from.
     pub(crate) fn obs_mut(&mut self) -> &mut ObsScratch {
         &mut self.obs
     }
@@ -551,17 +459,6 @@ impl Engine {
         if !self.graphs.contains_key(name) {
             self.spilled.insert(name.to_string());
         }
-    }
-
-    /// True when `name` is owned here but currently spilled to the store.
-    pub fn is_spilled(&self, name: &str) -> bool {
-        self.spilled.contains(name)
-    }
-
-    /// Drop the spilled marker for `name` without touching the store —
-    /// the graph's ownership is moving elsewhere (shard migration).
-    pub(crate) fn forget_spilled(&mut self, name: &str) {
-        self.spilled.remove(name);
     }
 
     /// Engine-level counters.
@@ -713,7 +610,7 @@ impl Engine {
     /// latest snapshot, then replay the WAL records past its watermark
     /// through normal dispatch (without re-logging them). No-op when the
     /// graph is resident, no store is attached, or the store has nothing.
-    pub(crate) fn ensure_resident(&mut self, name: &str) {
+    fn ensure_resident(&mut self, name: &str) {
         if self.graphs.contains_key(name) {
             return;
         }
@@ -847,63 +744,12 @@ impl Engine {
         serve_query(&mut self.stats, &self.cfg, entry, query, &mut self.obs)
     }
 
-    /// Execute a batch of queries against one graph — the registry lookup
-    /// happens once and every query in the batch shares the same index
-    /// state (so at most one CSR build serves the whole batch).
-    ///
-    /// Queries execute in order against the same entry a serial sequence
-    /// of [`Request::Query`] calls would hit, so the responses — cache
-    /// flags included — are element-wise identical to unbatched
-    /// execution; only the batch counters in [`EngineStats`] differ. This
-    /// is the seam the sharded front-end's batching worker drives.
-    pub fn execute_read_batch(&mut self, name: &str, queries: Vec<Query>) -> Vec<Response> {
-        self.ensure_resident(name);
-        let store = self.store.clone();
-        let Some(entry) = self.graphs.get_mut(name) else {
-            // Mirror the serial path exactly: per-query errors, no
-            // query-counter bumps — and no batch counters either, since
-            // those report queries *served* through batches.
-            return queries
-                .iter()
-                .map(|_| Response::Error { message: format!("no graph named '{name}'") })
-                .collect();
-        };
-        self.stats.batches += 1;
-        self.stats.batched_reads += queries.len() as u64;
-        self.stats.batch_hist[batch_bucket(queries.len())] += 1;
-        let mut responses = Vec::with_capacity(queries.len());
-        let mut heat = 0u64;
-        for query in queries {
-            let response = serve_query(&mut self.stats, &self.cfg, entry, query, &mut self.obs);
-            if let Some(store) = &store {
-                // Same log-per-query discipline as the serial path, so a
-                // recovered engine replays batched reads identically.
-                let t0 = self.obs.now();
-                store.log(name, &Request::Query { name: name.to_string(), query }, &response);
-                self.obs.charge_store(t0);
-            }
-            heat += query.cost_weight();
-            responses.push(response);
-        }
-        if let Some(store) = &store {
-            if store.wants_snapshot(name) {
-                let t0 = self.obs.now();
-                let entry = self.graphs.get(name).expect("entry still resident");
-                store.snapshot(name, &entry_to_trace(name, entry));
-                self.obs.charge_store(t0);
-            }
-        }
-        self.charge_heat(name, heat);
-        self.enforce_resident_cap(name);
-        responses
-    }
-
-    /// Detach a graph from this engine's registry for installation into
-    /// another engine — the unit of shard-to-shard **migration**. The
-    /// entire entry moves wholesale: edge list, index (CSR snapshot, DSU,
+    /// Detach a graph from this engine's registry to move it into another
+    /// engine (or serialize it with [`GraphExport::to_trace`]). The entire
+    /// entry moves wholesale: edge list, index (CSR snapshot, DSU,
     /// summaries), mutation epoch, and the warmed LRU query cache, so the
-    /// receiving engine answers exactly as this one would have. Counted in
-    /// [`EngineStats::migrations_out`]. Returns `None` for unknown names.
+    /// receiving engine answers exactly as this one would have. Returns
+    /// `None` for unknown names.
     ///
     /// # Examples
     ///
@@ -920,21 +766,20 @@ impl Engine {
     /// let mut b = Engine::new();
     /// assert!(b.import_graph(export).is_ok());
     /// let r = b.execute(Request::Query { name: "ring".into(), query: Query::ExactMinCut });
-    /// assert!(r.was_cached(), "the warmed cache migrated wholesale");
+    /// assert!(r.was_cached(), "the warmed cache moved wholesale");
     ///
     /// // The source no longer knows the graph.
     /// let gone = a.execute(Request::Query { name: "ring".into(), query: Query::ExactMinCut });
     /// assert!(matches!(gone, Response::Error { .. }));
     /// ```
     pub fn export_graph(&mut self, name: &str) -> Option<GraphExport> {
-        let entry = self.take_entry(name)?;
-        self.stats.migrations_out += 1;
+        let entry = self.graphs.remove(name)?;
         Some(GraphExport { name: name.to_string(), entry })
     }
 
     /// Install a graph previously detached with [`Engine::export_graph`].
     /// Fails (handing the export back untouched) if the name is already
-    /// registered here. Counted in [`EngineStats::migrations_in`].
+    /// registered here.
     // The whole point of the Err variant is returning the (large) entry to
     // the caller intact, so its size is the feature, not an accident.
     #[allow(clippy::result_large_err)]
@@ -942,34 +787,20 @@ impl Engine {
         if self.graphs.contains_key(&export.name) {
             return Err(export);
         }
-        self.stats.migrations_in += 1;
         let GraphExport { name, entry } = export;
         self.graphs.insert(name, entry);
         Ok(())
     }
 
-    /// Remove a graph's entry without touching any counter — the raw move
-    /// under [`Engine::export_graph`] and the steal-loan path (a loan is
-    /// not a migration; its counters live in `steal_*`).
-    pub(crate) fn take_entry(&mut self, name: &str) -> Option<GraphEntry> {
-        self.graphs.remove(name)
-    }
-
-    /// Reinstall an entry removed with [`Engine::take_entry`].
-    pub(crate) fn put_entry(&mut self, name: String, entry: GraphEntry) {
-        let prev = self.graphs.insert(name, entry);
-        debug_assert!(prev.is_none(), "put_entry must not shadow a live graph");
-    }
-
-    /// Mutable counter access for the shard worker: merging a stolen run's
-    /// stats delta, bumping thief-side steal counters.
+    /// Mutable counter access for the shard worker, which charges its
+    /// measured serve time to [`EngineStats::serve_nanos`].
     pub(crate) fn stats_mut(&mut self) -> &mut EngineStats {
         &mut self.stats
     }
 }
 
-/// A graph detached from one [`Engine`], in flight to another — what a
-/// shard migration moves. Opaque: the entry inside keeps its epoch, index
+/// A graph detached from one [`Engine`], in flight to another (or to a
+/// snapshot trace). Opaque: the entry inside keeps its epoch, index
 /// state, and query cache exactly as the source engine last saw them (see
 /// [`Engine::export_graph`] for a round-trip example).
 pub struct GraphExport {
@@ -990,7 +821,7 @@ impl GraphExport {
     }
 
     /// Serialize the export to the snapshot trace format — the on-disk
-    /// counterpart of the in-memory migration container, reusing the
+    /// counterpart of the in-memory export, reusing the
     /// request/response line codec for the cached-answers section:
     ///
     /// ```text
@@ -1122,7 +953,7 @@ impl GraphExport {
 /// Serialize one registry entry to the snapshot trace format (see
 /// [`GraphExport::to_trace`] — this is the engine-internal worker both it
 /// and the durability hooks call without detaching the entry).
-pub(crate) fn entry_to_trace(name: &str, entry: &GraphEntry) -> String {
+fn entry_to_trace(name: &str, entry: &GraphEntry) -> String {
     let mut out = String::with_capacity(64 + entry.edges.len() * 12);
     out.push_str(&format!("graph {} {} {}\n", encode_name(name), entry.n, entry.epoch));
     out.push_str(&format!("edges {}\n", entry.edges.len()));
@@ -1156,11 +987,7 @@ impl std::fmt::Debug for GraphExport {
 /// Serve one query against a looked-up entry: LRU/epoch cache first, then
 /// the index layer (DSU fast path for connectivity, stamped CSR snapshot
 /// for everything else), attributing the work to `stats`.
-///
-/// `pub(crate)`: the sharded front-end's work stealing drives this
-/// directly against a loaned [`GraphEntry`], accumulating into a scratch
-/// [`EngineStats`] delta that ships back to the owning shard.
-pub(crate) fn serve_query(
+fn serve_query(
     stats: &mut EngineStats,
     cfg: &EngineConfig,
     entry: &mut GraphEntry,
@@ -1877,40 +1704,6 @@ mod tests {
     }
 
     #[test]
-    fn read_batch_matches_serial_execution() {
-        let queries = vec![
-            Query::ExactMinCut,
-            Query::Connectivity,
-            Query::ExactMinCut, // cache hit inside the batch
-            Query::StCutWeight { s: 0, t: 3 },
-            Query::KCut { k: 99 }, // error inside the batch
-        ];
-
-        let mut serial = Engine::new();
-        create(&mut serial, "g", GraphSpec::Cycle { n: 7 });
-        let expected: Vec<Response> = queries.iter().map(|q| query(&mut serial, "g", *q)).collect();
-
-        let mut batched = Engine::new();
-        create(&mut batched, "g", GraphSpec::Cycle { n: 7 });
-        let got = batched.execute_read_batch("g", queries.clone());
-        assert_eq!(got, expected);
-
-        // Same query/cache counters; only batch bookkeeping differs.
-        assert_eq!(batched.stats().queries, serial.stats().queries);
-        assert_eq!(batched.stats().cache_hits, serial.stats().cache_hits);
-        assert_eq!(batched.stats().index, serial.stats().index);
-        assert_eq!(batched.stats().batches, 1);
-        assert_eq!(batched.stats().batched_reads, 5);
-        assert_eq!(batched.stats().batch_hist[batch_bucket(5)], 1);
-        assert_eq!(serial.stats().batches, 0);
-
-        // Unknown graph: per-query errors, no counter bumps — like serial.
-        let errs = batched.execute_read_batch("ghost", vec![Query::Connectivity]);
-        assert!(matches!(&errs[..], [Response::Error { .. }]));
-        assert_eq!(batched.stats().queries, serial.stats().queries);
-    }
-
-    #[test]
     fn summary_tracks_mutations_without_a_csr() {
         let mut e = Engine::new();
         create(&mut e, "p", GraphSpec::Edges { n: 4, edges: vec![(0, 1, 3), (1, 2, 5)] });
@@ -1927,20 +1720,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_buckets_cover_all_sizes() {
-        assert_eq!(batch_bucket(0), 0);
-        assert_eq!(batch_bucket(1), 0);
-        assert_eq!(batch_bucket(2), 1);
-        assert_eq!(batch_bucket(4), 2);
-        assert_eq!(batch_bucket(8), 3);
-        assert_eq!(batch_bucket(16), 4);
-        assert_eq!(batch_bucket(32), 5);
-        assert_eq!(batch_bucket(33), 6);
-        assert_eq!(batch_bucket(10_000), 6);
-        assert_eq!(BATCH_BUCKET_LABELS.len(), BATCH_BUCKETS);
-    }
-
-    #[test]
     fn export_import_moves_epoch_cache_and_index_wholesale() {
         let mut a = Engine::new();
         create(&mut a, "g", GraphSpec::Cycle { n: 10 });
@@ -1954,17 +1733,15 @@ mod tests {
         let export = a.export_graph("g").expect("graph registered");
         assert_eq!(export.name(), "g");
         assert_eq!(export.epoch(), 1, "epoch travels with the entry");
-        assert_eq!(a.stats().migrations_out, 1);
         assert_eq!(a.graph_count(), 0);
         assert!(a.export_graph("g").is_none(), "second export finds nothing");
 
         let mut b = Engine::new();
         assert!(b.import_graph(export).is_ok());
-        assert_eq!(b.stats().migrations_in, 1);
         assert_eq!(b.epoch("g"), Some(1));
         // The warmed cache moved: the same query is a hit on the new engine.
         let again = query(&mut b, "g", Query::ExactMinCut);
-        assert!(again.was_cached(), "cache must migrate wholesale");
+        assert!(again.was_cached(), "cache must move wholesale");
         assert_eq!(again.as_cached(), warmed.as_cached());
         // So does the index: connectivity fast-paths without a CSR build.
         assert!(matches!(
@@ -1990,7 +1767,6 @@ mod tests {
         create(&mut b, "g", GraphSpec::Cycle { n: 9 });
         let rejected = b.import_graph(export).expect_err("collision must fail");
         assert_eq!(rejected.name(), "g");
-        assert_eq!(b.stats().migrations_in, 0, "failed import must not count");
         // The rejected export is intact and installable elsewhere.
         let mut c = Engine::new();
         assert!(c.import_graph(rejected).is_ok());
@@ -1998,24 +1774,6 @@ mod tests {
             query(&mut c, "g", Query::ExactMinCut),
             Response::CutValue { weight: 2, .. }
         ));
-    }
-
-    #[test]
-    fn merge_folds_placement_and_steal_counters() {
-        let mut total = EngineStats::default();
-        let part = EngineStats {
-            migrations_in: 2,
-            migrations_out: 3,
-            steal_batches: 4,
-            steal_reads: 40,
-            ..EngineStats::default()
-        };
-        total.merge(&part);
-        total.merge(&part);
-        assert_eq!(
-            (total.migrations_in, total.migrations_out, total.steal_batches, total.steal_reads),
-            (4, 6, 8, 80)
-        );
     }
 
     #[test]

@@ -14,19 +14,12 @@
 //! - [`Engine`] — the single-threaded reference path: one registry, one
 //!   thread, deterministic end to end.
 //! - [`ShardedEngine`] (the [`shard`] module) — the scaling path: the
-//!   registry is partitioned across N worker threads through a
-//!   router-owned placement table (default: a stable hash of the graph
-//!   name), per-graph request order is preserved, cross-graph requests
-//!   run concurrently, and the response stream is byte-identical to the
-//!   single-threaded engine's for any shard count. With
-//!   [`ShardOptions::batch`], workers drain queued runs of same-graph
-//!   queries into read batches that share one index snapshot. With
-//!   [`PlacementOptions`], the router *adapts*: per-graph load accounting
-//!   drives graph migrations off overloaded shards at safe epochs (the
-//!   whole entry — index, epoch, warmed cache — moves behind a per-graph
-//!   barrier), and idle workers steal tail runs of same-graph queries
-//!   from the longest queue. Neither changes a response; see
-//!   `docs/SHARDING.md` for the protocols and the determinism argument.
+//!   registry is partitioned across N worker threads by a stable hash of
+//!   the graph name, each shard drains a FIFO queue, per-graph request
+//!   order is preserved, cross-graph requests run concurrently, and the
+//!   response stream is byte-identical to the single-threaded engine's
+//!   for any shard count. See the [`shard`] module docs and
+//!   `docs/ARCHITECTURE.md` for the determinism argument.
 //!
 //! A third front lives out-of-crate: the `cut_server` crate's
 //! `cut-server` binary serves a [`ShardedEngine`] over TCP, speaking
@@ -41,7 +34,7 @@
 //! mutation, shared by all reads in between), an incremental DSU so
 //! `Connectivity` skips BFS, running degree/weight summaries, and an LRU
 //! query cache. [`EngineStats`] reports how much work the layer absorbed
-//! (builds avoided, DSU fast-path hits, evictions, batch sizes).
+//! (builds avoided, DSU fast-path hits, evictions).
 //!
 //! The [`workload`] module generates seeded, replayable request streams:
 //! closed-loop (weighted action mix + Zipf graph-popularity skew) or
@@ -113,10 +106,9 @@ pub use cut_index::{GraphSummary, IndexStats, LruCache};
 pub use cut_obs::{
     span_flags, Clock, Histogram, MonotonicClock, Registry, SlowLog, Span, TestClock,
 };
-pub use engine::BATCH_BUCKET_LABELS;
-pub use engine::{batch_bucket, Engine, EngineConfig, EngineStats, GraphExport, BATCH_BUCKETS};
+pub use engine::{Engine, EngineConfig, EngineStats, GraphExport};
 pub use request::{GraphSpec, Mutation, Query, Request, Response, QUERY_KINDS};
-pub use shard::{PlacementOptions, PlacementReport, ShardOptions, ShardedEngine, Ticket};
+pub use shard::{ShardOptions, ShardedEngine, Ticket};
 pub use store_api::{GraphStore, RecoveredGraph};
 pub use workload::{
     ActionMix, ArrivalProcess, Phase, PopularityDrift, Timeline, Workload, WorkloadConfig,

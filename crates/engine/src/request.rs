@@ -280,12 +280,14 @@ impl Query {
     }
 
     /// Relative serve-cost weight of this query — the **serve-time proxy**
-    /// the sharded router's load accounting uses (it cannot observe real
-    /// serve times, since it never waits for responses). The scale is
+    /// behind the engine's residency heat, which decides which graph
+    /// spills first under [`EngineConfig::resident_cap`]. The scale is
     /// arbitrary; only ratios matter. Deliberately coarse: a cache hit
-    /// costs far less than these weights suggest, which the placement
-    /// layer tolerates because rebalancing reacts to *relative* per-graph
-    /// load, not absolute cost.
+    /// costs far less than these weights suggest, which the spiller
+    /// tolerates because it compares *relative* per-graph heat, not
+    /// absolute cost.
+    ///
+    /// [`EngineConfig::resident_cap`]: crate::EngineConfig::resident_cap
     pub fn cost_weight(&self) -> u64 {
         match self {
             // DSU fast path: near-free.
@@ -404,7 +406,9 @@ impl GraphSpec {
             "edges" => {
                 let n = parse_tok(tokens, "edges n")?;
                 let m: usize = parse_tok(tokens, "edges m")?;
-                let mut edges = Vec::with_capacity(m);
+                // `m` comes off the wire: reserve a bounded amount and let
+                // the triples themselves prove the rest exists.
+                let mut edges = Vec::with_capacity(m.min(1 << 16));
                 for _ in 0..m {
                     let triple = next_tok(tokens, "u:v:w edge triple")?;
                     let mut parts = triple.split(':');
@@ -641,8 +645,8 @@ impl Request {
     }
 
     /// Relative serve-cost weight of this request (see
-    /// [`Query::cost_weight`]): what the adaptive placement layer charges
-    /// a graph per routed request when accounting per-window load.
+    /// [`Query::cost_weight`]): what the engine charges a graph's
+    /// residency heat per served request.
     pub fn cost_weight(&self) -> u64 {
         match self {
             // Graph materialization plus index construction.
@@ -987,7 +991,7 @@ mod tests {
         assert!(exact.cost_weight() < kcut.cost_weight());
         assert_eq!(Request::ListGraphs.cost_weight(), Request::Stats.cost_weight());
         // Every request kind has a positive weight (a zero weight would
-        // make a graph invisible to the rebalancer).
+        // make a graph look permanently cold to the spiller).
         for q in [
             Query::ApproxMinCut { seed: 0 },
             Query::ExactMinCut,
@@ -1078,6 +1082,14 @@ mod tests {
         ] {
             assert!(Request::from_trace_line(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn huge_edge_count_is_rejected_without_reserving_it() {
+        // The wire-supplied edge count must not size an allocation: the
+        // token stream runs out long before 99999999999999 triples.
+        let r = Request::from_trace_line("create a edges 4 99999999999999");
+        assert!(r.is_err(), "got {r:?}");
     }
 
     #[test]

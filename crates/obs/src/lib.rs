@@ -571,12 +571,10 @@ impl Registry {
 // Spans and the slow-query log
 // ---------------------------------------------------------------------------
 
-/// Annotation bits attached to a [`Span`].
+/// Annotation bits attached to a [`Span`]. Bits 0 and 1 are retired and
+/// never set; the others keep their positions so `cut-slowlog/1` stays
+/// wire-stable.
 pub mod span_flags {
-    /// Served as part of a coalesced read batch.
-    pub const BATCHED: u32 = 1 << 0;
-    /// Served by a thief shard via a steal handoff.
-    pub const STOLEN: u32 = 1 << 1;
     /// Serving this request faulted the graph in from the store.
     pub const FAULT_IN: u32 = 1 << 2;
     /// Serving this request spilled some graph to the store.
@@ -585,12 +583,6 @@ pub mod span_flags {
     /// Render set bits as a stable `+`-joined list (empty string if none).
     pub fn render(flags: u32) -> String {
         let mut parts = Vec::new();
-        if flags & BATCHED != 0 {
-            parts.push("batched");
-        }
-        if flags & STOLEN != 0 {
-            parts.push("stolen");
-        }
         if flags & FAULT_IN != 0 {
             parts.push("fault-in");
         }
@@ -611,7 +603,7 @@ pub struct Span {
     pub kind: String,
     /// Graph name, or `"*"` for broadcasts.
     pub target: String,
-    /// Shard that served the request (the thief for stolen runs).
+    /// Shard that served the request.
     pub shard: u64,
     /// Clock reading when the request entered a shard queue.
     pub enqueue: u64,
@@ -1088,7 +1080,7 @@ mod tests {
             end: 12 + serve,
             index_nanos: 1,
             store_nanos: 2,
-            flags: span_flags::BATCHED | span_flags::STOLEN,
+            flags: span_flags::FAULT_IN | span_flags::SPILL,
         };
         let mut a = SlowLog::new(2);
         a.record(mk(0, 100, "a"));
@@ -1102,7 +1094,7 @@ mod tests {
         a.merge(&back);
         let targets: Vec<&str> = a.entries().iter().map(|s| s.target.as_str()).collect();
         assert_eq!(targets, vec!["d", "a"]);
-        assert!(a.render_text().contains("batched+stolen"));
+        assert!(a.render_text().contains("fault-in+spill"));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! | [`ampc_primitives`] | in-model chain compression, rooting, aggregation, sort, connectivity, MSF |
 //! | [`mincut_core`] | Algorithms 1–4 (reference + in-model), contraction oracle, baselines |
 //! | [`cut_index`] | per-graph incremental index: generation-stamped CSR snapshots, DSU connectivity, LRU cache |
-//! | [`cut_engine`] | multi-graph cut-query engine: registry, mutations, epoch-cached queries, batched sharded serving, seeded workloads |
+//! | [`cut_engine`] | multi-graph cut-query engine: registry, mutations, epoch-cached queries, sharded serving, seeded workloads |
 //!
 //! ## Serving queries
 //!
@@ -51,7 +51,7 @@
 //! workloads replay deterministically, and
 //! `cargo run --release -p cut_bench --bin stress` measures the whole
 //! stack (ops/sec, per-action latency percentiles, cache hit rate, index
-//! efficiency; `--shards N --batch` for the batched sharded front-end).
+//! efficiency; `--shards N` for the sharded front-end).
 //! See `examples/engine_session.rs` for a guided session.
 
 pub use ampc_model;

@@ -6,8 +6,8 @@
 
 use ampc_mincut::prelude::*;
 use cut_engine::{
-    ActionMix, ArrivalProcess, Engine, GraphSpec, Mutation, PlacementOptions, Query, Request,
-    Response, ShardOptions, ShardedEngine, Timeline, Workload, WorkloadConfig,
+    ActionMix, ArrivalProcess, Engine, GraphSpec, Mutation, Query, Request, Response,
+    ShardedEngine, Timeline, Workload, WorkloadConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -179,42 +179,60 @@ proptest! {
         }
     }
 
-    /// For any random workload and any shard count, the sharded engine's
-    /// response stream (pipelined, collected in submission order) is
-    /// element-wise identical to the single-threaded engine's.
+    /// For any random workload (default or write-heavy mix) and any shard
+    /// count, the sharded engine's response stream (pipelined, collected
+    /// in submission order, broadcasts injected mid-stream) is
+    /// element-wise identical to the single-threaded engine's, and the
+    /// per-shard counters sum to the reference engine's.
     #[test]
     fn sharded_engine_matches_unsharded_on_random_workloads(
         seed in any::<u64>(),
         ops in 40usize..120,
         shards in 1usize..6,
+        write_heavy in any::<bool>(),
     ) {
         let cfg = WorkloadConfig {
             ops,
             seed,
             graphs: 5,
             initial_n: 16,
-            mix: ActionMix::write_heavy(),
+            mix: if write_heavy { ActionMix::write_heavy() } else { ActionMix::default() },
             ..WorkloadConfig::default()
         };
         let workload = Workload::generate(&cfg);
+        // Inject broadcasts so merged partials are exercised mid-stream,
+        // not just at quiet points.
+        let mut requests: Vec<Request> = Vec::new();
+        for (i, r) in workload.all_requests().enumerate() {
+            requests.push(r.clone());
+            if i % 13 == 7 {
+                requests.push(Request::Stats);
+            }
+            if i % 29 == 11 {
+                requests.push(Request::ListGraphs);
+            }
+        }
 
         let mut reference = Engine::new();
         let expected: Vec<Response> =
-            workload.all_requests().map(|r| reference.execute(r.clone())).collect();
+            requests.iter().map(|r| reference.execute(r.clone())).collect();
 
         // Pipelined: all tickets in flight at once, waited in order.
         let mut sharded = ShardedEngine::new(shards);
-        let tickets: Vec<_> =
-            workload.all_requests().map(|r| sharded.submit(r.clone())).collect();
+        let tickets: Vec<_> = requests.iter().map(|r| sharded.submit(r.clone())).collect();
         let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
         prop_assert_eq!(&got, &expected);
 
         // Per-shard stats must sum to the reference engine's counters.
-        let per_shard = sharded.shutdown();
-        let queries: u64 = per_shard.iter().map(|s| s.queries).sum();
-        let mutations: u64 = per_shard.iter().map(|s| s.mutations).sum();
-        prop_assert_eq!(queries, reference.stats().queries);
-        prop_assert_eq!(mutations, reference.stats().mutations);
+        let mut total = cut_engine::EngineStats::default();
+        for s in sharded.shutdown() {
+            total.merge(&s);
+        }
+        let want = reference.stats();
+        prop_assert_eq!(total.queries, want.queries);
+        prop_assert_eq!(total.mutations, want.mutations);
+        prop_assert_eq!(total.cache_hits, want.cache_hits);
+        prop_assert_eq!(total.index.csr_builds, want.index.csr_builds);
     }
 
     /// The index layer's DSU-backed `Connectivity` answers equal BFS on a
@@ -271,123 +289,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Batched execution (read runs share one index snapshot, mutations
-    /// are barriers) produces a response stream element-wise identical to
-    /// the unbatched single-threaded engine — at one shard and several.
-    #[test]
-    fn batched_execution_matches_unbatched(
-        seed in any::<u64>(),
-        ops in 40usize..120,
-        four_shards in any::<bool>(),
-    ) {
-        // Exercise exactly the two shapes the CI gate pins: one shard
-        // (pure batching) and four (batching under cross-shard routing).
-        let shards = if four_shards { 4usize } else { 1 };
-        let cfg = WorkloadConfig {
-            ops,
-            seed,
-            graphs: 5,
-            initial_n: 16,
-            ..WorkloadConfig::default()
-        };
-        let workload = Workload::generate(&cfg);
-
-        let mut reference = Engine::new();
-        let expected: Vec<Response> =
-            workload.all_requests().map(|r| reference.execute(r.clone())).collect();
-
-        let mut batched = ShardedEngine::with_options(
-            shards,
-            ShardOptions { batch: true, ..ShardOptions::default() },
-        );
-        let tickets: Vec<_> =
-            workload.all_requests().map(|r| batched.submit(r.clone())).collect();
-        let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
-        prop_assert_eq!(&got, &expected);
-
-        // Batching changes cost accounting, never the served counters.
-        let mut total = cut_engine::EngineStats::default();
-        for s in batched.shutdown() {
-            total.merge(&s);
-        }
-        prop_assert_eq!(total.queries, reference.stats().queries);
-        prop_assert_eq!(total.cache_hits, reference.stats().cache_hits);
-        prop_assert_eq!(total.mutations, reference.stats().mutations);
-        prop_assert_eq!(total.index.csr_builds, reference.stats().index.csr_builds);
-    }
-
-    /// Adaptive placement under fire: with an aggressive rebalance window
-    /// (migrations every few submissions) and stealing enabled, the
-    /// pipelined response stream — broadcasts injected — must stay
-    /// element-wise identical to the single-threaded engine for any shard
-    /// count, batching on or off; and the served counters must survive the
-    /// migration/steal accounting (stolen-run deltas merge on the owning
-    /// shard, migration counters balance).
-    #[test]
-    fn rebalanced_stealing_engine_matches_unsharded_on_random_workloads(
-        seed in any::<u64>(),
-        ops in 40usize..120,
-        shards in 1usize..5,
-        batch in any::<bool>(),
-        latency_proxy in any::<bool>(),
-    ) {
-        let cfg = WorkloadConfig {
-            ops,
-            seed,
-            graphs: 6,
-            initial_n: 16,
-            ..WorkloadConfig::default()
-        };
-        let workload = Workload::generate(&cfg);
-        // Inject broadcasts so reclaim barriers and merged partials are
-        // exercised mid-stream, not just at quiet points.
-        let mut requests: Vec<Request> = Vec::new();
-        for (i, r) in workload.all_requests().enumerate() {
-            requests.push(r.clone());
-            if i % 13 == 7 {
-                requests.push(Request::Stats);
-            }
-            if i % 29 == 11 {
-                requests.push(Request::ListGraphs);
-            }
-        }
-
-        let mut reference = Engine::new();
-        let expected: Vec<Response> =
-            requests.iter().map(|r| reference.execute(r.clone())).collect();
-
-        let placement = PlacementOptions {
-            rebalance: true,
-            window: 6,
-            max_moves: 4,
-            steal: true,
-            steal_min: 2,
-            latency_proxy,
-            ..PlacementOptions::default()
-        };
-        let mut sharded = ShardedEngine::with_options(
-            shards,
-            ShardOptions { batch, placement, ..ShardOptions::default() },
-        );
-        let tickets: Vec<_> = requests.iter().map(|r| sharded.submit(r.clone())).collect();
-        let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
-        prop_assert_eq!(&got, &expected);
-
-        let report = sharded.placement_report();
-        let per_shard = sharded.shutdown();
-        let ins: u64 = per_shard.iter().map(|s| s.migrations_in).sum();
-        let outs: u64 = per_shard.iter().map(|s| s.migrations_out).sum();
-        prop_assert_eq!(ins, report.migrations);
-        prop_assert_eq!(outs, report.migrations);
-        let mut total = cut_engine::EngineStats::default();
-        for s in &per_shard {
-            total.merge(s);
-        }
-        prop_assert_eq!(total.queries, reference.stats().queries);
-        prop_assert_eq!(total.cache_hits, reference.stats().cache_hits);
-        prop_assert_eq!(total.mutations, reference.stats().mutations);
     }
 
     /// A trace round-trip (`to_trace` → `from_trace`) reproduces the
