@@ -83,7 +83,7 @@ pub fn contraction_oracle(g: &Graph, prio: &[u64]) -> OracleOutcome {
                 *nbr[a as usize].entry(tr).or_insert(0) += w;
             }
         }
-        let new_deg = deg[a as usize] + deg[b as usize] - 2 * cross;
+        let new_deg = (deg[a as usize] - cross) + (deg[b as usize] - cross);
         let new_size = size[a as usize] + size[b as usize];
         // Re-root bookkeeping onto the DSU root.
         if root != a {
@@ -118,33 +118,20 @@ pub fn contract_prefix(g: &Graph, prio: &[u64], target: usize) -> (Graph, Vec<u3
 }
 
 /// The bag of `leader` at `time`: all vertices reachable from `leader`
-/// using spanning-forest edges with priority `≤ time`.
+/// using spanning-forest edges with priority `≤ time`, sorted.
+///
+/// A non-forest edge never joins two different bags (the Kruskal
+/// observation), so the bag is `leader`'s component under every edge of
+/// priority `≤ time`, and no sort by priority is needed.
 pub fn bag_of(g: &Graph, prio: &[u64], leader: u32, time: u64) -> Vec<u32> {
-    let forest = kruskal(g, prio);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); g.n()];
-    for &ei in &forest.edges {
-        if prio[ei as usize] <= time {
-            let e = g.edge(ei as usize);
-            adj[e.u as usize].push(e.v);
-            adj[e.v as usize].push(e.u);
+    let mut dsu = Dsu::new(g.n());
+    for (e, &p) in g.edges().iter().zip(prio) {
+        if p <= time {
+            dsu.union(e.u, e.v);
         }
     }
-    let mut seen = vec![false; g.n()];
-    let mut out = vec![leader];
-    seen[leader as usize] = true;
-    let mut head = 0;
-    while head < out.len() {
-        let v = out[head];
-        head += 1;
-        for &to in &adj[v as usize] {
-            if !seen[to as usize] {
-                seen[to as usize] = true;
-                out.push(to);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
+    let root = dsu.find(leader);
+    (0..g.n() as u32).filter(|&v| dsu.find(v) == root).collect()
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //!   other engine is tested against;
 //! * [`intervals`]: Lemma 12–14 — per-(edge, leader) time intervals and
 //!   the weighted minimum-stabbing sweep;
-//! * [`singleton`]: Algorithm 3 — `SmallestSingletonCut` via the low-depth
-//!   decomposition, leader chains and interval sweeps (Theorem 3);
+//! * [`singleton`]: Algorithm 3 — `SmallestSingletonCut`, served by one
+//!   sequential Kruskal sweep over the contraction and checked against
+//!   the Theorem 3 engine (low-depth decomposition, leader chains and
+//!   interval sweeps);
 //! * [`mincut`]: Algorithm 1 — the boosted recursive contraction
 //!   `AMPC-MinCut` computing a `(2+ε)`-approximate weighted min cut
 //!   (Theorem 1);

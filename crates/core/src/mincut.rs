@@ -18,9 +18,8 @@ use cut_graph::{stoer_wagner, CutResult, Graph};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::contraction::contract_prefix;
 use crate::priorities::exponential_priorities;
-use crate::singleton::{singleton_cut_side, smallest_singleton_cut};
+use crate::singleton::sweep;
 
 /// Options for [`approx_min_cut`].
 #[derive(Debug, Clone)]
@@ -123,26 +122,29 @@ fn solve(
     let (branch, x) = opts.schedule(t);
     let target = ((n as f64 / x).ceil() as usize).clamp(2, n - 1);
 
+    // Sides are materialised only for a strictly better cut, the same
+    // ones the first-minimum rule would keep.
     let mut best: Option<CutResult> = None;
-    let consider = |c: CutResult, best: &mut Option<CutResult>| {
-        if best.as_ref().is_none_or(|b| c.weight < b.weight) {
-            *best = Some(c);
-        }
-    };
+    let improves = |w: u64, best: &Option<CutResult>| best.as_ref().is_none_or(|b| w < b.weight);
     for _ in 0..branch {
         let prio = exponential_priorities(g, rng);
-        // Track singleton cuts over this copy's whole contraction.
-        let sc = smallest_singleton_cut(g, &prio);
-        let side = singleton_cut_side(g, &prio, sc);
-        consider(CutResult { weight: sc.weight, side }, &mut best);
-        // Contract the copy by the schedule's factor and recurse.
-        let (h, labels) = contract_prefix(g, &prio, target);
+        // One Kruskal sweep gives this copy's smallest singleton cut over
+        // its whole contraction, the cut's side and the contraction by
+        // the schedule's factor.
+        let sw = sweep(g, &prio, Some(target));
+        if improves(sw.cut.weight, &best) {
+            best = Some(CutResult { weight: sw.cut.weight, side: sw.side() });
+        }
+        let labels = sw.prefix.expect("sweep snapshots the prefix it is given");
+        let h = g.contract(&labels);
         if h.n() >= 2 {
             let sub = solve(&h, n0, opts, rng, depth + 1);
-            let in_side = sub.mask(h.n());
-            let side: Vec<u32> =
-                (0..n as u32).filter(|&v| in_side[labels[v as usize] as usize]).collect();
-            consider(CutResult { weight: sub.weight, side }, &mut best);
+            if improves(sub.weight, &best) {
+                let in_side = sub.mask(h.n());
+                let side: Vec<u32> =
+                    (0..n as u32).filter(|&v| in_side[labels[v as usize] as usize]).collect();
+                best = Some(CutResult { weight: sub.weight, side });
+            }
         }
     }
     best.expect("branch >= 2")
@@ -239,6 +241,76 @@ mod tests {
         let b = approx_min_cut(&g, &opts);
         assert_eq!(a.weight, b.weight);
         assert_eq!(a.side, b.side);
+    }
+
+    /// Algorithm 1 as served before the Kruskal sweep: the Theorem 3
+    /// engine, `bag_of` and `contract_prefix`, every side materialised.
+    fn reference_approx_min_cut(g: &Graph, opts: &MinCutOptions) -> CutResult {
+        use crate::contraction::{bag_of, contract_prefix};
+        use crate::singleton::SingletonEngine;
+
+        fn solve(g: &Graph, n0: usize, opts: &MinCutOptions, rng: &mut SmallRng) -> CutResult {
+            let n = g.n();
+            if n <= opts.base_size.max(2) {
+                return stoer_wagner(g);
+            }
+            let (branch, x) = opts.schedule((n0 as f64 / n as f64).max(1.0));
+            let target = ((n as f64 / x).ceil() as usize).clamp(2, n - 1);
+            let mut best: Option<CutResult> = None;
+            let consider = |c: CutResult, best: &mut Option<CutResult>| {
+                if best.as_ref().is_none_or(|b| c.weight < b.weight) {
+                    *best = Some(c);
+                }
+            };
+            for _ in 0..branch {
+                let prio = exponential_priorities(g, rng);
+                let sc = SingletonEngine::new(g, &prio).smallest(g);
+                let side = bag_of(g, &prio, sc.leader, sc.time);
+                consider(CutResult { weight: sc.weight, side }, &mut best);
+                let (h, labels) = contract_prefix(g, &prio, target);
+                if h.n() >= 2 {
+                    let sub = solve(&h, n0, opts, rng);
+                    let in_side = sub.mask(h.n());
+                    let side: Vec<u32> =
+                        (0..n as u32).filter(|&v| in_side[labels[v as usize] as usize]).collect();
+                    consider(CutResult { weight: sub.weight, side }, &mut best);
+                }
+            }
+            best.expect("branch >= 2")
+        }
+
+        let mut best: Option<CutResult> = None;
+        for rep in 0..repetition_count(g.n(), opts) {
+            let mut rng = SmallRng::seed_from_u64(opts.seed.wrapping_add(rep as u64));
+            let cut = solve(g, g.n(), opts, &mut rng);
+            if best.as_ref().is_none_or(|b| cut.weight < b.weight) {
+                best = Some(cut);
+            }
+        }
+        best.expect("at least one repetition")
+    }
+
+    #[test]
+    fn sweep_serving_equals_the_theorem3_pipeline() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        // Engine defaults (ε = 0.5, base 32, 2 repetitions), then base 8.
+        let engine = MinCutOptions { repetitions: 2, ..Default::default() };
+        let base8 = MinCutOptions { base_size: 8, repetitions: 2, ..Default::default() };
+        for trial in 0..24 {
+            let n = rng.gen_range(33..120);
+            let g = match trial % 4 {
+                0 => gen::connected_gnm(n, 3 * n, 1..=1, &mut rng),
+                1 => gen::connected_gnm(n, 3 * n, 1..=3, &mut rng),
+                2 => gen::connected_gnm(n, 3 * n, 1..=50, &mut rng),
+                _ => gen::gnm(n, 2 * n, 1..=3, &mut rng),
+            };
+            for opts in [&engine, &base8] {
+                let opts = MinCutOptions { seed: rng.gen(), ..opts.clone() };
+                let served = approx_min_cut(&g, &opts);
+                let reference = reference_approx_min_cut(&g, &opts);
+                assert_eq!(served, reference, "trial={trial} base={}", opts.base_size);
+            }
+        }
     }
 
     #[test]

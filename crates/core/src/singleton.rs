@@ -1,24 +1,37 @@
-//! Algorithm 3 — `SmallestSingletonCut` (Theorem 3), reference engine.
+//! Algorithm 3 — `SmallestSingletonCut`: the serving sweep and the
+//! Theorem 3 reference engine.
 //!
-//! Pipeline (§4.2–4.4):
+//! Two engines compute the same [`SingletonCut`], leader and time
+//! included:
 //!
-//! 1. minimum spanning forest under the contraction priorities (the only
-//!    edges that change the contraction topology, §4.1);
-//! 2. generalized low-depth decomposition of the forest (Algorithm 2);
-//! 3. leaders (Definition 7): with a valid decomposition every vertex is
-//!    the unique minimum-label vertex of its component in `T_{ℓ(v)}`;
-//!    `ldr_time` comes from the ≤ 2 boundary edges of that component
-//!    (Lemmas 10–11);
-//! 4. per-(edge, leader) time intervals (Lemmas 12–13), resolved through
-//!    leader chains in the separator tree instead of per-level re-rooting
-//!    (equivalence property-tested in `cut-tree::septree`);
-//! 5. per-leader weighted stabbing minimum (Lemma 14) and a global min
-//!    (Observation 7, restricted to proper bags).
+//! * [`sweep`] serves. It replays the contraction process once in
+//!   priority order: every bag is a Kruskal component, and its cut weight
+//!   updates in O(1) per merge from the crossing weight, found by scanning
+//!   the smaller side. The same pass yields the realizing side and the
+//!   prefix contraction, so one branch of Algorithm 1 runs Kruskal once.
+//!   [`smallest_singleton_cut`] is its cut.
+//! * [`SingletonEngine`] is the paper's AMPC-shaped construction, kept as
+//!   the tested reference (§4.2–4.4):
+//!   1. minimum spanning forest under the contraction priorities (the only
+//!      edges that change the contraction topology, §4.1);
+//!   2. generalized low-depth decomposition of the forest (Algorithm 2);
+//!   3. leaders (Definition 7): with a valid decomposition every vertex is
+//!      the unique minimum-label vertex of its component in `T_{ℓ(v)}`;
+//!      `ldr_time` comes from the ≤ 2 boundary edges of that component
+//!      (Lemmas 10–11);
+//!   4. per-(edge, leader) time intervals (Lemmas 12–13), resolved through
+//!      leader chains in the separator tree instead of per-level
+//!      re-rooting (equivalence property-tested in `cut-tree::septree`);
+//!   5. per-leader weighted stabbing minimum (Lemma 14) and a global min
+//!      (Observation 7, restricted to proper bags).
 //!
-//! This engine is exact: its output equals the contraction oracle's on
-//! every input (tested exhaustively and property-based).
+//! Both are exact: their output equals the contraction oracle's on every
+//! input, and the sweep's equals the reference's as a whole struct
+//! (tested exhaustively and property-based). The sweep names a bag's
+//! leader the way Definition 7 does, as its minimum-label vertex under the
+//! same low-depth decomposition, so the two agree on ties too.
 
-use cut_graph::{kruskal, Graph};
+use cut_graph::{kruskal, Graph, MstForest};
 use cut_tree::lowdepth::low_depth_decomposition;
 use cut_tree::rmq::{HldPathQuery, RmqOp};
 use cut_tree::rooted::NONE;
@@ -67,17 +80,9 @@ impl SingletonEngine {
         assert_eq!(prio.len(), g.m());
 
         let forest = kruskal(g, prio);
-        let pairs: Vec<(u32, u32)> = forest
-            .edges
-            .iter()
-            .map(|&ei| {
-                let e = g.edge(ei as usize);
-                (e.u, e.v)
-            })
-            .collect();
-        let rooted = RootedForest::from_edges(n, &pairs);
-        // Priority of each vertex's parent edge (forest.parent_edge indexes
-        // into `pairs`, which parallels `forest.edges`).
+        let rooted = rooted_forest(g, &forest);
+        // Priority of each vertex's parent edge (`rooted.parent_edge`
+        // indexes `forest.edges`).
         let mut edge_prio = vec![0u64; n];
         #[allow(clippy::needless_range_loop)] // v is a vertex id indexing parallel arrays
         for v in 0..n {
@@ -257,10 +262,207 @@ fn component_max_prio(forest: &RootedForest, edge_prio: &[u64]) -> Vec<u64> {
     comp_max
 }
 
-/// Convenience wrapper: build the engine and return the smallest singleton
-/// cut for `(g, prio)`.
+/// The priority forest rooted for the low-depth decomposition. Its edge
+/// `i` is `forest.edges[i]`.
+fn rooted_forest(g: &Graph, forest: &MstForest) -> RootedForest {
+    let pairs: Vec<(u32, u32)> = forest
+        .edges
+        .iter()
+        .map(|&ei| {
+            let e = g.edge(ei as usize);
+            (e.u, e.v)
+        })
+        .collect();
+    RootedForest::from_edges(g.n(), &pairs)
+}
+
+/// One sequential replay of the contraction process (see the module
+/// docs): the smallest singleton cut, its side and, when asked for, the
+/// prefix contraction, all from one Kruskal run.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The smallest singleton cut, equal to
+    /// `SingletonEngine::new(g, prio).smallest(g)`.
+    pub cut: SingletonCut,
+    /// The relabeling [`contract_prefix`](crate::contraction::contract_prefix)
+    /// returns for the requested target, when one was requested.
+    pub prefix: Option<Vec<u32>>,
+    /// Final member lists: every bag of the process is the run of its
+    /// size starting at its first member, so the cut's bag is
+    /// `cut_size` steps from `cut_head`.
+    next: Vec<u32>,
+    cut_head: u32,
+    cut_size: u32,
+}
+
+impl Sweep {
+    /// The vertex side realizing [`Sweep::cut`], sorted: what
+    /// [`singleton_cut_side`] returns.
+    pub fn side(&self) -> Vec<u32> {
+        let mut side = Vec::with_capacity(self.cut_size as usize);
+        let mut x = self.cut_head;
+        for _ in 0..self.cut_size {
+            side.push(x);
+            x = self.next[x as usize];
+        }
+        side.sort_unstable();
+        side
+    }
+
+    /// Number of vertices on the realizing side.
+    pub fn side_len(&self) -> usize {
+        self.cut_size as usize
+    }
+}
+
+/// A component of the sweep: its member run, size, cut weight, leader
+/// (minimum-label member) and creation time.
+#[derive(Debug, Clone, Copy)]
+struct Bag {
+    head: u32,
+    tail: u32,
+    size: u32,
+    leader: u32,
+    cut: u64,
+    time: u64,
+}
+
+impl Bag {
+    fn key(&self) -> (u64, u32, u64) {
+        (self.cut, self.leader, self.time)
+    }
+}
+
+/// Replay the contraction of `g` under `prio` once (Kruskal order).
+///
+/// Components merge small-to-large; member lists are flat intrusive
+/// arrays that concatenate in O(1), so every historical bag stays a
+/// contiguous run of the final lists. A bag `a ∪ b` has cut
+/// `(cut(a) − cross) + (cut(b) − cross)`, where `cross` is the `a`–`b`
+/// weight, so no intermediate exceeds the graph's total weight. A bag
+/// counts once it is observable: it lives from its creation time until a
+/// merge at a strictly later priority (equal priorities merge at the same
+/// time), and it is proper. The answer is the lexicographic minimum of
+/// `(weight, leader, time)`, the reference engine's scan order. With
+/// `target = Some(k)`, [`Sweep::prefix`] is taken after `n − k` merges,
+/// exactly where `contract_prefix(g, prio, k)` stops.
+pub fn sweep(g: &Graph, prio: &[u64], target: Option<usize>) -> Sweep {
+    let n = g.n();
+    assert!(n >= 2, "need at least 2 vertices");
+    assert_eq!(prio.len(), g.m());
+    let forest = kruskal(g, prio);
+    let rooted = rooted_forest(g, &forest);
+    let label = low_depth_decomposition(&rooted, &Hld::new(&rooted)).label;
+
+    // `comp[v]` is the id of v's component: one of its vertices, which
+    // indexes `bags`.
+    let mut comp: Vec<u32> = (0..n as u32).collect();
+    let mut next = vec![NONE; n];
+    let mut bags: Vec<Bag> = (0..n as u32)
+        .map(|v| Bag { head: v, tail: v, size: 1, leader: v, cut: 0, time: 0 })
+        .collect();
+    for e in g.edges() {
+        bags[e.u as usize].cut += e.w;
+        bags[e.v as usize].cut += e.w;
+    }
+    let mut best: Option<Bag> = None;
+    let mut consider = |bag: Bag| {
+        if best.is_none_or(|b| bag.key() < b.key()) {
+            best = Some(bag);
+        }
+    };
+
+    let snapshot_at = target.map(|k| {
+        assert!(k >= 1);
+        n.saturating_sub(k)
+    });
+    let mut prefix = None;
+    for (i, &ei) in forest.edges.iter().enumerate() {
+        if snapshot_at == Some(i) {
+            prefix = Some(first_appearance_labels(&comp));
+        }
+        let e = g.edge(ei as usize);
+        let t = prio[ei as usize];
+        let (mut a, mut b) = (comp[e.u as usize], comp[e.v as usize]);
+        if bags[a as usize].size < bags[b as usize].size {
+            std::mem::swap(&mut a, &mut b);
+        }
+        let (ba, bb) = (bags[a as usize], bags[b as usize]);
+        for bag in [ba, bb] {
+            if bag.time < t {
+                consider(bag);
+            }
+        }
+        // Crossing weight from the smaller side, then move it into `a`.
+        let mut cross = 0u64;
+        let mut x = bb.head;
+        for _ in 0..bb.size {
+            for &(to, ej) in g.neighbors(x) {
+                if comp[to as usize] == a {
+                    cross += g.edges()[ej as usize].w;
+                }
+            }
+            x = next[x as usize];
+        }
+        let mut x = bb.head;
+        for _ in 0..bb.size {
+            comp[x as usize] = a;
+            x = next[x as usize];
+        }
+        next[ba.tail as usize] = bb.head;
+        let leader =
+            if (label[bb.leader as usize], bb.leader) < (label[ba.leader as usize], ba.leader) {
+                bb.leader
+            } else {
+                ba.leader
+            };
+        bags[a as usize] = Bag {
+            head: ba.head,
+            tail: bb.tail,
+            size: ba.size + bb.size,
+            leader,
+            cut: (ba.cut - cross) + (bb.cut - cross),
+            time: t,
+        };
+    }
+    if snapshot_at.is_some() && prefix.is_none() {
+        prefix = Some(first_appearance_labels(&comp));
+    }
+    // The surviving components, unless one is the whole vertex set.
+    for (c, &bag) in bags.iter().enumerate() {
+        if comp[c] as usize == c && (bag.size as usize) < n {
+            consider(bag);
+        }
+    }
+    let best = best.expect("n >= 2 leaves a proper bag");
+    Sweep {
+        cut: SingletonCut { weight: best.cut, leader: best.leader, time: best.time },
+        prefix,
+        next,
+        cut_head: best.head,
+        cut_size: best.size,
+    }
+}
+
+/// Contiguous labels `0..k` per component, in order of first appearance
+/// by vertex id (the [`cut_graph::Dsu::labels`] convention).
+fn first_appearance_labels(comp: &[u32]) -> Vec<u32> {
+    let mut id = vec![u32::MAX; comp.len()];
+    let mut fresh = 0;
+    comp.iter()
+        .map(|&c| {
+            if id[c as usize] == u32::MAX {
+                id[c as usize] = fresh;
+                fresh += 1;
+            }
+            id[c as usize]
+        })
+        .collect()
+}
+
+/// The smallest singleton cut for `(g, prio)`, served by [`sweep`].
 pub fn smallest_singleton_cut(g: &Graph, prio: &[u64]) -> SingletonCut {
-    SingletonEngine::new(g, prio).smallest(g)
+    sweep(g, prio, None).cut
 }
 
 /// Recover the vertex side realizing a [`SingletonCut`].
@@ -271,9 +473,10 @@ pub fn singleton_cut_side(g: &Graph, prio: &[u64], cut: SingletonCut) -> Vec<u32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contraction::contraction_oracle;
+    use crate::contraction::{contract_prefix, contraction_oracle};
     use crate::priorities::exponential_priorities;
     use cut_graph::{cut_weight, gen, Edge};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -408,5 +611,75 @@ mod tests {
             let has_smaller = bag_next.iter().any(|&u| engine.label[u as usize] < lv);
             assert!(has_smaller || bag_next.len() == 20, "v={v}: ldr_time not tight");
         }
+    }
+
+    /// The serving sweep against the Theorem 3 engine, as a whole struct
+    /// (weight, leader and time), plus the side each one recovers.
+    fn assert_sweep_is_reference(g: &Graph, prio: &[u64]) {
+        let sw = sweep(g, prio, None);
+        let reference = SingletonEngine::new(g, prio).smallest(g);
+        assert_eq!(sw.cut, reference, "edges={:?} prio={prio:?}", g.edges());
+        let side = sw.side();
+        assert_eq!(side, bag_of(g, prio, reference.leader, reference.time));
+        assert_eq!(sw.side_len(), side.len());
+    }
+
+    /// A seeded graph of one of the shapes the sweep must agree on:
+    /// unit weights (tie-heavy), light and heavy weights, sparse
+    /// possibly-disconnected graphs and trees.
+    fn shaped_graph(shape: u8, n: usize, rng: &mut SmallRng) -> Graph {
+        let dense = (3 * n).min(n * (n - 1) / 2);
+        match shape % 5 {
+            0 => gen::connected_gnm(n, dense, 1..=1, rng),
+            1 => gen::connected_gnm(n, dense, 1..=3, rng),
+            2 => gen::connected_gnm(n, dense, 1..=50, rng),
+            3 => gen::gnm(n, rng.gen_range(0..=n.min(n * (n - 1) / 2)), 1..=3, rng),
+            _ => gen::random_tree(n, rng),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn sweep_equals_theorem3_engine(shape in 0u8..5, n in 2usize..=200, seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = shaped_graph(shape, n, &mut rng);
+            let prio = exponential_priorities(&g, &mut rng);
+            assert_sweep_is_reference(&g, &prio);
+        }
+    }
+
+    #[test]
+    fn sweep_equals_theorem3_engine_on_small_graphs() {
+        let mut rng = SmallRng::seed_from_u64(28);
+        for trial in 0..2000 {
+            let n = rng.gen_range(2..14);
+            let g = shaped_graph(trial as u8, n, &mut rng);
+            let prio = exponential_priorities(&g, &mut rng);
+            assert_sweep_is_reference(&g, &prio);
+            // Tied priorities contract several edges at one time: a bag
+            // created and merged again at the same time is never observed.
+            let ties = (g.m() as u64 / 2).max(1);
+            let tied: Vec<u64> = (0..g.m()).map(|_| rng.gen_range(1..=ties)).collect();
+            assert_sweep_is_reference(&g, &tied);
+        }
+    }
+
+    #[test]
+    fn sweep_prefix_equals_contract_prefix_for_every_target() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        for shape in 0..5u8 {
+            let g = shaped_graph(shape, 40, &mut rng);
+            let prio = exponential_priorities(&g, &mut rng);
+            for target in 1..=g.n() + 1 {
+                let labels = sweep(&g, &prio, Some(target)).prefix.expect("target given");
+                let (h, expect) = contract_prefix(&g, &prio, target);
+                assert_eq!(labels, expect, "shape={shape} target={target}");
+                assert_eq!(g.contract(&labels).edges(), h.edges());
+            }
+        }
+        let g = gen::cycle(6);
+        assert!(sweep(&g, &[1, 2, 3, 4, 5, 6], None).prefix.is_none());
     }
 }

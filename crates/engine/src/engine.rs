@@ -28,15 +28,14 @@ use std::sync::Arc;
 use cut_graph::{stoer_wagner, CutResult, Edge, Graph};
 use cut_index::{ConnRead, GraphIndex, IndexStats, LruCache};
 use cut_obs::{Clock, Registry};
-use mincut_core::{
-    approx_min_cut, apx_split, exponential_priorities, smallest_singleton_cut, KCutOptions,
-    MinCutOptions,
-};
+use mincut_core::singleton::sweep;
+use mincut_core::{approx_min_cut, apx_split, exponential_priorities, KCutOptions, MinCutOptions};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::request::{
-    decode_name, encode_name, GraphSpec, Mutation, Query, Request, Response, QUERY_KINDS,
+    checked_total, decode_name, encode_name, GraphSpec, Mutation, Query, Request, Response,
+    QUERY_KINDS,
 };
 use crate::store_api::GraphStore;
 
@@ -1121,6 +1120,7 @@ fn apply_insert(entry: &mut GraphEntry, u: u32, v: u32, w: u64) -> Result<(), St
     if w == 0 {
         return Err(format!("zero-weight edge ({u}, {v})"));
     }
+    checked_total(entry.index.total_weight(), w)?;
     entry.edges.push(Edge::new(u, v, w));
     // O(α): the DSU unions, the summaries adjust, the snapshot stamp
     // invalidates.
@@ -1240,10 +1240,10 @@ fn compute_query(
             let g = track(entry, csr, obs);
             let mut rng = SmallRng::seed_from_u64(seed);
             let prio = exponential_priorities(g, &mut rng);
-            let cut = smallest_singleton_cut(g, &prio);
-            // The realizing side is a bag (super-vertex), not one vertex.
-            let side = mincut_core::singleton::singleton_cut_side(g, &prio, cut);
-            Response::CutValue { weight: cut.weight, side_size: side.len(), cached: false }
+            // The realizing side is a bag (super-vertex), not one vertex;
+            // one sweep yields both.
+            let sw = sweep(g, &prio, None);
+            Response::CutValue { weight: sw.cut.weight, side_size: sw.side_len(), cached: false }
         }
         Query::KCut { k } => {
             if k < 1 || k > n {
@@ -1316,6 +1316,28 @@ mod tests {
             Response::Dropped { .. }
         ));
         assert!(matches!(query(&mut e, "ring", Query::ExactMinCut), Response::Error { .. }));
+    }
+
+    #[test]
+    fn total_weight_past_u64_max_is_rejected() {
+        let mut e = Engine::new();
+        let line = |l: &str| Request::from_trace_line(l).expect("valid trace line");
+        // The hostile-input probe: two u64::MAX edges sum past u64::MAX.
+        let max = u64::MAX;
+        let r = e.execute(line(&format!("create b edges 3 2 0:1:{max} 1:2:{max}")));
+        assert!(matches!(r, Response::Error { .. }), "got {r}");
+        assert!(matches!(query(&mut e, "b", Query::ExactMinCut), Response::Error { .. }));
+
+        // Inserts may fill the total up to u64::MAX exactly, not past it.
+        create(&mut e, "c", GraphSpec::Edges { n: 2, edges: vec![(0, 1, max - 1)] });
+        let r = e.execute(line("insert c 0 1 1"));
+        assert!(matches!(r, Response::Mutated { m: 2, .. }), "got {r}");
+        let r = e.execute(line("insert c 0 1 1"));
+        assert!(matches!(r, Response::Error { .. }), "got {r}");
+        let whole = Response::CutValue { weight: max, side_size: 1, cached: false };
+        assert_eq!(query(&mut e, "c", Query::ExactMinCut), whole);
+        assert_eq!(query(&mut e, "c", Query::SingletonCut { seed: 3 }), whole);
+        assert_eq!(query(&mut e, "c", Query::ApproxMinCut { seed: 3 }), whole);
     }
 
     #[test]

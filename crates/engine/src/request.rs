@@ -80,8 +80,16 @@ impl GraphSpec {
     /// Materialize the spec into `(n, edges)`.
     ///
     /// Deterministic: equal specs produce identical edge lists, whoever
-    /// calls (engine or workload generator).
+    /// calls (engine or workload generator). Rejects a graph whose total
+    /// weight does not fit u64: every cut sum is bounded by it, so the
+    /// algorithms' u64 arithmetic cannot wrap on a graph that exists.
     pub fn materialize(&self) -> Result<(usize, Vec<Edge>), String> {
+        let (n, edges) = self.generate()?;
+        edges.iter().try_fold(0u64, |total, e| checked_total(total, e.w))?;
+        Ok((n, edges))
+    }
+
+    fn generate(&self) -> Result<(usize, Vec<Edge>), String> {
         match self {
             GraphSpec::Edges { n, edges } => {
                 let mut out = Vec::with_capacity(edges.len());
@@ -141,6 +149,12 @@ impl GraphSpec {
         let (n, edges) = self.materialize()?;
         Ok(Graph::new_unchecked(n, edges))
     }
+}
+
+/// `total + w`, or an error when a graph's total weight would pass
+/// `u64::MAX` (the invariant `create` and `insert` enforce).
+pub(crate) fn checked_total(total: u64, w: u64) -> Result<u64, String> {
+    total.checked_add(w).ok_or_else(|| format!("total edge weight would exceed {}", u64::MAX))
 }
 
 fn validate_edge(n: usize, u: u32, v: u32, w: u64) -> Result<(), String> {
@@ -1082,6 +1096,18 @@ mod tests {
         ] {
             assert!(Request::from_trace_line(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn specs_whose_total_weight_overflows_are_rejected() {
+        let max = u64::MAX;
+        let fits = GraphSpec::Edges { n: 3, edges: vec![(0, 1, max - 1), (1, 2, 1)] };
+        assert!(fits.materialize().is_ok());
+        let wraps = GraphSpec::Edges { n: 3, edges: vec![(0, 1, max), (1, 2, 1)] };
+        assert!(wraps.materialize().is_err());
+        let heavy = GraphSpec::Gnm { n: 4, m: 3, w_min: max / 2, w_max: max, seed: 1 };
+        assert!(heavy.materialize().is_err());
+        assert!(heavy.build().is_err());
     }
 
     #[test]

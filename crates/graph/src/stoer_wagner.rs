@@ -22,8 +22,10 @@ pub fn stoer_wagner(g: &Graph) -> CutResult {
         return CutResult { weight: 0, side };
     }
 
-    // Dense weight matrix; u128 accumulation is unnecessary because total
-    // weight fits u64 by construction in this workspace.
+    // Dense weight matrix; u128 accumulation is unnecessary because every
+    // sum here is bounded by the total weight, which fits u64: the serving
+    // engine rejects any `create` (`GraphSpec::materialize`) or `insert`
+    // that would push it past u64::MAX.
     let mut w = vec![vec![0u64; n]; n];
     for e in g.edges() {
         w[e.u as usize][e.v as usize] += e.w;
@@ -64,7 +66,8 @@ pub fn stoer_wagner(g: &Graph) -> CutResult {
         let s = order[order.len() - 2];
         // Cut-of-the-phase: {t's merged set} vs rest.
         let phase_weight = conn[t];
-        if phase_weight < best.weight {
+        // The first phase always records: a cut can weigh u64::MAX.
+        if best.side.is_empty() || phase_weight < best.weight {
             best = CutResult { weight: phase_weight, side: merged[t].clone() };
         }
         // Merge t into s.
@@ -92,6 +95,14 @@ mod tests {
     use crate::graph::{Edge, Graph};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn cut_of_weight_u64_max_keeps_its_side() {
+        let g = Graph::new(2, vec![Edge::new(0, 1, u64::MAX)]);
+        let cut = stoer_wagner(&g);
+        assert_eq!(cut.weight, u64::MAX);
+        assert!(cut.is_proper(2), "side {:?}", cut.side);
+    }
 
     #[test]
     fn bridge_is_the_min_cut() {
