@@ -1,4 +1,7 @@
-//! E2 wall-clock companion: reference AMPC-MinCut vs exact Stoer–Wagner.
+//! E2 wall-clock companion: reference AMPC-MinCut vs exact Stoer–Wagner,
+//! plus Stoer–Wagner alone at the sizes it serves: an approximate-cut base
+//! case (n=32), the default workload's graphs (n=48) and the whale trace's
+//! largest graph (n=480).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cut_bench::rng_for;
@@ -15,6 +18,13 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ampc_mincut_ref", n), &g, |b, g| {
             b.iter(|| approx_min_cut(g, &opts))
         });
+        group.bench_with_input(BenchmarkId::new("stoer_wagner", n), &g, |b, g| {
+            b.iter(|| stoer_wagner(g))
+        });
+    }
+    for &n in &[32usize, 48, 480] {
+        let mut rng = rng_for("bench-e2", n as u64);
+        let g = gen::connected_gnm(n, 3 * n, 1..=10, &mut rng);
         group.bench_with_input(BenchmarkId::new("stoer_wagner", n), &g, |b, g| {
             b.iter(|| stoer_wagner(g))
         });

@@ -85,6 +85,11 @@ impl Default for EngineConfig {
 /// receiving traffic loses half its heat per window.
 const RESIDENCY_WINDOW: u64 = 512;
 
+/// Largest vertex count `exact-min-cut` serves. Stoer–Wagner allocates an
+/// `n × n` matrix of `u64` and the graph comes from a client, so a larger
+/// graph is answered with an `error` (4096 vertices is a 128 MiB matrix).
+const EXACT_MAX_N: usize = 4096;
+
 /// Engine-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -1206,6 +1211,11 @@ fn compute_query(
             if n < 2 {
                 return Response::Error { message: "min cut needs n >= 2".into() };
             }
+            if n > EXACT_MAX_N {
+                return Response::Error {
+                    message: format!("exact min cut serves n <= {EXACT_MAX_N}, got n = {n}"),
+                };
+            }
             let g = track(entry, csr, obs);
             match disconnected_cut(g) {
                 Some(cut) => cut_response(&cut),
@@ -1338,6 +1348,24 @@ mod tests {
         assert_eq!(query(&mut e, "c", Query::ExactMinCut), whole);
         assert_eq!(query(&mut e, "c", Query::SingletonCut { seed: 3 }), whole);
         assert_eq!(query(&mut e, "c", Query::ApproxMinCut { seed: 3 }), whole);
+    }
+
+    #[test]
+    fn exact_min_cut_above_its_size_bound_is_an_error() {
+        let mut e = Engine::new();
+        let path = |n: u32| GraphSpec::Edges {
+            n: n as usize,
+            edges: (1..n).map(|v| (v - 1, v, 1)).collect(),
+        };
+        create(&mut e, "big", path(EXACT_MAX_N as u32 + 1));
+        let r = query(&mut e, "big", Query::ExactMinCut);
+        assert!(matches!(r, Response::Error { .. }), "got {r}");
+        // The engine keeps serving, that graph included.
+        let r = query(&mut e, "big", Query::Connectivity);
+        assert!(matches!(r, Response::ConnectivityValue { components: 1, .. }), "got {r}");
+        create(&mut e, "small", path(8));
+        let r = query(&mut e, "small", Query::ExactMinCut);
+        assert_eq!(r, Response::CutValue { weight: 1, side_size: 1, cached: false });
     }
 
     #[test]

@@ -1,20 +1,50 @@
 //! Stoer–Wagner deterministic exact global minimum cut.
 //!
-//! `O(n³)` with an adjacency matrix — the workspace's ground-truth oracle
-//! for approximation-quality experiments (E2) at up to a few thousand
-//! vertices.
+//! This is the workspace's one exact min-cut routine, and it is on the
+//! serving path: it answers `exact-min-cut` queries, solves every base case
+//! of the approximate min cut (`mincut_core::mincut`, instances of at most
+//! `base_size` vertices), and every small component of the k-cut split. It
+//! is also the ground truth of the approximation-quality experiments (E2).
+//!
+//! The implementation is the `O(n³)` adjacency-matrix algorithm, laid out
+//! for a small constant factor: one flat `n × n` matrix, scratch allocated
+//! once per call, member lists kept as intrusive chains, and a fused
+//! maximum-adjacency (MA) step that updates the connectivity of every
+//! remaining candidate and picks the next vertex in a single pass.
+//!
+//! **Tie-break contract.** Each phase starts from the smallest active
+//! super-vertex id. Among candidates of equal connectivity the MA step picks
+//! the largest id, i.e. the maximum of the key `(conn[v], v)`. `s` and `t`
+//! are the last two vertices added, `t` merges into `s`, and a phase's cut
+//! replaces the best one only when strictly lighter (the first phase always
+//! records). The side is sorted. These rules fix the returned [`CutResult`]
+//! exactly; the test module keeps the plain dense implementation as
+//! `dense_reference` and holds this one equal to it, weight and side.
 
 use crate::cut::CutResult;
 use crate::graph::Graph;
+
+/// End of an intrusive member chain.
+const NIL: usize = usize::MAX;
 
 /// Exact weighted global min cut of `g`.
 ///
 /// Returns the cut weight and one realizing side. For disconnected graphs
 /// the weight is 0 and the side is one connected component. Panics on
-/// graphs with fewer than 2 vertices (no proper cut exists).
+/// graphs with fewer than 2 vertices (no proper cut exists) and on graphs
+/// whose total edge weight exceeds `u64::MAX`.
 pub fn stoer_wagner(g: &Graph) -> CutResult {
     let n = g.n();
     assert!(n >= 2, "a cut needs at least two vertices");
+    // Every connectivity value and merged matrix entry below is a sum of
+    // distinct edge weights, so this one check keeps the inner loops free
+    // of overflow.
+    let total = g.edges().iter().try_fold(0u64, |acc, e| acc.checked_add(e.w));
+    assert!(
+        total.is_some(),
+        "total edge weight exceeds u64::MAX; the serving engine rejects such graphs on \
+         create and insert (cut_engine::request::checked_total)"
+    );
 
     if !g.is_connected() {
         let comp = g.components();
@@ -22,68 +52,87 @@ pub fn stoer_wagner(g: &Graph) -> CutResult {
         return CutResult { weight: 0, side };
     }
 
-    // Dense weight matrix; u128 accumulation is unnecessary because every
-    // sum here is bounded by the total weight, which fits u64: the serving
-    // engine rejects any `create` (`GraphSpec::materialize`) or `insert`
-    // that would push it past u64::MAX.
-    let mut w = vec![vec![0u64; n]; n];
+    // Row-major weight matrix. The diagonal (self-loops) is never read.
+    let cells = n.checked_mul(n).expect("Stoer–Wagner matrix size overflows usize");
+    let mut w = vec![0u64; cells];
     for e in g.edges() {
-        w[e.u as usize][e.v as usize] += e.w;
-        w[e.v as usize][e.u as usize] += e.w;
+        let (u, v) = (e.u as usize, e.v as usize);
+        if u != v {
+            w[u * n + v] += e.w;
+            w[v * n + u] += e.w;
+        }
     }
 
-    // merged[v]: original vertices currently fused into super-vertex v.
-    let mut merged: Vec<Vec<u32>> = (0..n as u32).map(|v| vec![v]).collect();
+    // Super-vertex v's original members: the chain v, next[v], ... of
+    // length size[v]. Merging t into s links t's chain after s's tail, so
+    // a super-vertex's members stay a contiguous run from its id.
+    let mut next = vec![NIL; n];
+    let mut tail: Vec<usize> = (0..n).collect();
+    let mut size = vec![1usize; n];
     let mut active: Vec<usize> = (0..n).collect();
-    let mut best = CutResult { weight: u64::MAX, side: vec![] };
+    let mut conn = vec![0u64; n];
+    let mut cand: Vec<usize> = Vec::with_capacity(n);
+    // Best cut so far: its weight and `(t, size[t])` at the phase that
+    // found it. The side is expanded once, at the end.
+    let mut best: Option<(u64, usize, usize)> = None;
 
     while active.len() > 1 {
-        // Maximum-adjacency ordering starting from active[0].
-        let mut in_a = vec![false; n];
-        let mut conn = vec![0u64; n];
-        let mut order = Vec::with_capacity(active.len());
-        let start = active[0];
-        in_a[start] = true;
-        order.push(start);
-        for &v in &active {
-            conn[v] = w[start][v];
+        // MA ordering from the smallest active id: conn[v] starts at zero
+        // and the start vertex is absorbed like any other.
+        cand.clear();
+        cand.extend_from_slice(&active[1..]);
+        for &v in &cand {
+            conn[v] = 0;
         }
-        while order.len() < active.len() {
-            let &next = active
-                .iter()
-                .filter(|&&v| !in_a[v])
-                .max_by_key(|&&v| conn[v])
-                .expect("graph became disconnected mid-phase");
-            in_a[next] = true;
-            order.push(next);
-            for &v in &active {
-                if !in_a[v] {
-                    conn[v] += w[next][v];
+        let mut t = active[0];
+        let mut s;
+        loop {
+            let row = &w[t * n..(t + 1) * n];
+            let mut pick = 0;
+            let mut key = (0u64, 0usize);
+            for (i, &v) in cand.iter().enumerate() {
+                let c = conn[v] + row[v];
+                conn[v] = c;
+                if i == 0 || (c, v) > key {
+                    pick = i;
+                    key = (c, v);
                 }
             }
+            s = t;
+            t = cand.swap_remove(pick);
+            if cand.is_empty() {
+                break;
+            }
         }
-        let t = *order.last().unwrap();
-        let s = order[order.len() - 2];
-        // Cut-of-the-phase: {t's merged set} vs rest.
+        // Cut-of-the-phase: {t's members} vs rest.
         let phase_weight = conn[t];
         // The first phase always records: a cut can weigh u64::MAX.
-        if best.side.is_empty() || phase_weight < best.weight {
-            best = CutResult { weight: phase_weight, side: merged[t].clone() };
+        if best.is_none_or(|(bw, _, _)| phase_weight < bw) {
+            best = Some((phase_weight, t, size[t]));
         }
         // Merge t into s.
-        let tm = std::mem::take(&mut merged[t]);
-        merged[s].extend(tm);
+        next[tail[s]] = t;
+        tail[s] = tail[t];
+        size[s] += size[t];
         for &v in &active {
             if v != s && v != t {
-                w[s][v] += w[t][v];
-                w[v][s] = w[s][v];
+                let merged = w[s * n + v] + w[t * n + v];
+                w[s * n + v] = merged;
+                w[v * n + s] = merged;
             }
         }
         active.retain(|&v| v != t);
     }
 
-    best.side.sort_unstable();
-    best
+    let (weight, head, len) = best.expect("a graph with n >= 2 runs at least one phase");
+    let mut side = Vec::with_capacity(len);
+    let mut v = head;
+    for _ in 0..len {
+        side.push(v as u32);
+        v = next[v];
+    }
+    side.sort_unstable();
+    CutResult { weight, side }
 }
 
 #[cfg(test)]
@@ -93,8 +142,136 @@ mod tests {
     use crate::cut::cut_weight;
     use crate::gen;
     use crate::graph::{Edge, Graph};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The plain dense Stoer–Wagner: `Vec<Vec<u64>>` matrix, per-phase
+    /// scratch, a two-pass MA step (`max_by_key` over active ids in
+    /// ascending order, i.e. the largest id among ties) and a cloned member
+    /// list on every improvement. The oracle [`stoer_wagner`] must equal.
+    fn dense_reference(g: &Graph) -> CutResult {
+        let n = g.n();
+        assert!(n >= 2, "a cut needs at least two vertices");
+
+        if !g.is_connected() {
+            let comp = g.components();
+            let side: Vec<u32> = (0..n as u32).filter(|&v| comp[v as usize] == 0).collect();
+            return CutResult { weight: 0, side };
+        }
+
+        let mut w = vec![vec![0u64; n]; n];
+        for e in g.edges() {
+            w[e.u as usize][e.v as usize] += e.w;
+            w[e.v as usize][e.u as usize] += e.w;
+        }
+
+        // merged[v]: original vertices currently fused into super-vertex v.
+        let mut merged: Vec<Vec<u32>> = (0..n as u32).map(|v| vec![v]).collect();
+        let mut active: Vec<usize> = (0..n).collect();
+        let mut best = CutResult { weight: u64::MAX, side: vec![] };
+
+        while active.len() > 1 {
+            // Maximum-adjacency ordering starting from active[0].
+            let mut in_a = vec![false; n];
+            let mut conn = vec![0u64; n];
+            let mut order = Vec::with_capacity(active.len());
+            let start = active[0];
+            in_a[start] = true;
+            order.push(start);
+            for &v in &active {
+                conn[v] = w[start][v];
+            }
+            while order.len() < active.len() {
+                let &next = active
+                    .iter()
+                    .filter(|&&v| !in_a[v])
+                    .max_by_key(|&&v| conn[v])
+                    .expect("graph became disconnected mid-phase");
+                in_a[next] = true;
+                order.push(next);
+                for &v in &active {
+                    if !in_a[v] {
+                        conn[v] += w[next][v];
+                    }
+                }
+            }
+            let t = *order.last().unwrap();
+            let s = order[order.len() - 2];
+            let phase_weight = conn[t];
+            if best.side.is_empty() || phase_weight < best.weight {
+                best = CutResult { weight: phase_weight, side: merged[t].clone() };
+            }
+            let tm = std::mem::take(&mut merged[t]);
+            merged[s].extend(tm);
+            for &v in &active {
+                if v != s && v != t {
+                    w[s][v] += w[t][v];
+                    w[v][s] = w[s][v];
+                }
+            }
+            active.retain(|&v| v != t);
+        }
+
+        best.side.sort_unstable();
+        best
+    }
+
+    /// A seeded graph of one of the shapes the two implementations must
+    /// agree on: connected gnm with unit (tie-heavy), light, medium and
+    /// heavy weights, and possibly-disconnected multigraphs with parallel
+    /// edges.
+    fn shaped_graph(shape: u8, n: usize, rng: &mut SmallRng) -> Graph {
+        let m = (n - 1) + rng.gen_range(0..=2 * n);
+        match shape % 5 {
+            0 => gen::connected_gnm(n, m, 1..=1, rng),
+            1 => gen::connected_gnm(n, m, 1..=3, rng),
+            2 => gen::connected_gnm(n, m, 1..=50, rng),
+            3 => gen::connected_gnm(n, m, 1..=1_000_000, rng),
+            _ => {
+                let edges = (0..rng.gen_range(0..=2 * n))
+                    .map(|_| {
+                        let u = rng.gen_range(0..n as u32);
+                        let v = (u + rng.gen_range(1..n as u32)) % n as u32;
+                        Edge::new(u, v, rng.gen_range(1..=3))
+                    })
+                    .collect();
+                Graph::new(n, edges)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn equals_dense_reference(shape in 0u8..5, n in 2usize..=64, seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = shaped_graph(shape, n, &mut rng);
+            prop_assert_eq!(stoer_wagner(&g), dense_reference(&g));
+        }
+    }
+
+    #[test]
+    fn equals_dense_reference_on_many_small_graphs() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        for i in 0..3000u32 {
+            let n = rng.gen_range(2..=12);
+            let g = match i % 7 {
+                5 => gen::complete(n),
+                6 => Graph::new(2, vec![Edge::new(0, 1, rng.gen_range(1..=9)); 1 + i as usize % 3]),
+                shape => shaped_graph(shape as u8, n, &mut rng),
+            };
+            assert_eq!(stoer_wagner(&g), dense_reference(&g), "edges={:?}", g.edges());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "total edge weight exceeds u64::MAX")]
+    fn rejects_total_weight_past_u64_max() {
+        let g = Graph::new(3, vec![Edge::new(0, 1, u64::MAX), Edge::new(1, 2, u64::MAX)]);
+        let _ = stoer_wagner(&g);
+    }
 
     #[test]
     fn cut_of_weight_u64_max_keeps_its_side() {

@@ -5,6 +5,10 @@
 use crate::dynconn::DynConn;
 use cut_graph::{Dsu, Edge, Graph};
 
+const WEIGHT_OVERFLOW: &str = "graph total edge weight exceeds u64::MAX; the engine enforces \
+     this bound on create and insert (cut_engine::request::checked_total)";
+const WEIGHT_UNDERFLOW: &str = "deleted edge weight was never counted into the index summaries";
+
 /// Counters for how much work the index layer absorbed. Owned by whoever
 /// drives the index (one aggregate per engine, so counters survive graph
 /// drops); [`GraphIndex`] methods report what happened per call and the
@@ -205,9 +209,7 @@ impl GraphIndex {
         if self.dynconn.version() != was {
             self.partition_generation = self.generation;
         }
-        self.degrees[u as usize] += w;
-        self.degrees[v as usize] += w;
-        self.total_weight += w;
+        self.add_weight(u, v, w);
         self.m += 1;
     }
 
@@ -224,9 +226,7 @@ impl GraphIndex {
         if self.dynconn.version() != was {
             self.partition_generation = self.generation;
         }
-        self.degrees[u as usize] -= w;
-        self.degrees[v as usize] -= w;
-        self.total_weight -= w;
+        self.sub_weight(u, v, w);
         self.m -= 1;
     }
 
@@ -237,6 +237,28 @@ impl GraphIndex {
         self.refresh(n, edges);
     }
 
+    /// Count edge `(u, v, w)` into the running summaries. Every degree is
+    /// bounded by the total weight, which fits `u64` because the engine
+    /// rejects any `create` or `insert` that would pass it
+    /// (`cut_engine::request::checked_total`).
+    fn add_weight(&mut self, u: u32, v: u32, w: u64) {
+        for x in [u, v] {
+            let d = &mut self.degrees[x as usize];
+            *d = d.checked_add(w).expect(WEIGHT_OVERFLOW);
+        }
+        self.total_weight = self.total_weight.checked_add(w).expect(WEIGHT_OVERFLOW);
+    }
+
+    /// Remove edge `(u, v, w)` from the running summaries; it must have
+    /// been counted in.
+    fn sub_weight(&mut self, u: u32, v: u32, w: u64) {
+        for x in [u, v] {
+            let d = &mut self.degrees[x as usize];
+            *d = d.checked_sub(w).expect(WEIGHT_UNDERFLOW);
+        }
+        self.total_weight = self.total_weight.checked_sub(w).expect(WEIGHT_UNDERFLOW);
+    }
+
     fn refresh(&mut self, n: usize, edges: &[Edge]) {
         self.dsu = Dsu::new(n);
         self.degrees = vec![0; n];
@@ -244,9 +266,7 @@ impl GraphIndex {
         self.m = edges.len();
         for e in edges {
             self.dsu.union(e.u, e.v);
-            self.degrees[e.u as usize] += e.w;
-            self.degrees[e.v as usize] += e.w;
-            self.total_weight += e.w;
+            self.add_weight(e.u, e.v, e.w);
         }
         self.dsu_dirty = false;
         self.dynconn = DynConn::new(n, edges);
@@ -386,6 +406,13 @@ mod tests {
 
     fn path(n: usize) -> Vec<Edge> {
         (0..n as u32 - 1).map(|i| Edge::new(i, i + 1, (i + 1) as u64)).collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "total edge weight exceeds u64::MAX")]
+    fn weight_summaries_are_checked() {
+        let mut idx = GraphIndex::new(3, &[Edge::new(0, 1, u64::MAX)]);
+        idx.note_insert(1, 2, 1);
     }
 
     #[test]
