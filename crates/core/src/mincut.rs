@@ -14,12 +14,11 @@
 //! so the output is always ≥ OPT; the `(2+ε)` upper bound holds with high
 //! probability over the seeds (amplified by `repetitions`).
 
-use cut_graph::{stoer_wagner, CutResult, Graph};
+use cut_graph::{stoer_wagner, CutResult, Graph, StoerWagner};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::priorities::exponential_priorities;
-use crate::singleton::sweep;
+use crate::singleton::Sweeper;
 
 /// Options for [`approx_min_cut`].
 #[derive(Debug, Clone)]
@@ -74,9 +73,10 @@ pub fn schedule_levels(n: usize, opts: &MinCutOptions) -> usize {
 /// base instances, across `repetitions` independent runs.
 pub fn approx_min_cut(g: &Graph, opts: &MinCutOptions) -> CutResult {
     assert!(g.n() >= 2, "a cut needs at least two vertices");
+    let mut scratch = Scratch::default();
     let mut best: Option<CutResult> = None;
     for r in 0..repetition_count(g.n(), opts) {
-        let cut = approx_min_cut_repetition(g, opts, r as u64);
+        let cut = approx_min_cut_repetition(g, opts, r as u64, &mut scratch);
         if best.as_ref().is_none_or(|b| cut.weight < b.weight) {
             best = Some(cut);
         }
@@ -93,27 +93,44 @@ pub fn repetition_count(n: usize, opts: &MinCutOptions) -> usize {
     reps.max(1)
 }
 
+/// Buffers one `approx_min_cut` call reuses across its branches and
+/// repetitions.
+#[derive(Default)]
+struct Scratch {
+    sweeper: Sweeper,
+    base: StoerWagner,
+}
+
 /// One independent repetition of the boosted recursion. Each repetition
 /// seeds its own RNG from `opts.seed + rep`, so repetitions share no
 /// random state and the result depends only on `(g, opts, rep)`.
-fn approx_min_cut_repetition(g: &Graph, opts: &MinCutOptions, rep: u64) -> CutResult {
+fn approx_min_cut_repetition(
+    g: &Graph,
+    opts: &MinCutOptions,
+    rep: u64,
+    scratch: &mut Scratch,
+) -> CutResult {
     assert!(g.n() >= 2, "a cut needs at least two vertices");
     let mut rng = SmallRng::seed_from_u64(opts.seed.wrapping_add(rep));
-    solve(g, g.n(), opts, &mut rng, 0)
+    if g.n() <= opts.base_size.max(2) {
+        return stoer_wagner(g);
+    }
+    solve(g, g.n(), opts, &mut rng, 0, scratch)
 }
 
+/// One instance of more than `base_size` vertices: `branch` copies, each
+/// swept, contracted and then recursed into or, at most `base_size`
+/// vertices, solved exactly straight from the contraction's edges.
 fn solve(
     g: &Graph,
     n0: usize,
     opts: &MinCutOptions,
     rng: &mut SmallRng,
     depth: usize,
+    scratch: &mut Scratch,
 ) -> CutResult {
     let n = g.n();
-    debug_assert!(n >= 2);
-    if n <= opts.base_size.max(2) {
-        return stoer_wagner(g);
-    }
+    debug_assert!(n > opts.base_size.max(2));
     // Runaway guard: the schedule terminates in O(log log n) levels; a bug
     // in the shrink factor would otherwise loop forever.
     assert!(depth < 64, "recursion too deep: schedule not shrinking");
@@ -127,24 +144,39 @@ fn solve(
     let mut best: Option<CutResult> = None;
     let improves = |w: u64, best: &Option<CutResult>| best.as_ref().is_none_or(|b| w < b.weight);
     for _ in 0..branch {
-        let prio = exponential_priorities(g, rng);
         // One Kruskal sweep gives this copy's smallest singleton cut over
         // its whole contraction, the cut's side and the contraction by
         // the schedule's factor.
-        let sw = sweep(g, &prio, Some(target));
-        if improves(sw.cut.weight, &best) {
-            best = Some(CutResult { weight: sw.cut.weight, side: sw.side() });
+        let sw = &mut scratch.sweeper;
+        sw.draw(g, rng);
+        let weight = sw.run(g, Some(target));
+        if improves(weight, &best) {
+            best = Some(CutResult { weight, side: sw.side() });
         }
-        let labels = sw.prefix.expect("sweep snapshots the prefix it is given");
-        let h = g.contract(&labels);
-        if h.n() >= 2 {
-            let sub = solve(&h, n0, opts, rng, depth + 1);
-            if improves(sub.weight, &best) {
-                let in_side = sub.mask(h.n());
-                let side: Vec<u32> =
-                    (0..n as u32).filter(|&v| in_side[labels[v as usize] as usize]).collect();
-                best = Some(CutResult { weight: sub.weight, side });
-            }
+        if weight == 0 {
+            // A disconnected graph: nothing is strictly lighter, so the
+            // remaining branches cannot change the answer.
+            break;
+        }
+        // A connected graph stays connected under contraction, which the
+        // base case relies on.
+        let labels = sw.take_prefix().expect("sweep snapshots the prefix it is given");
+        let k = labels.iter().max().map_or(0, |&c| c as usize + 1);
+        debug_assert!(k >= target, "the prefix stops at the target or above");
+        let sub = if k <= opts.base_size.max(2) {
+            // The base case adds the contraction's edges straight into
+            // Stoer–Wagner's matrix: the same matrix the contracted graph
+            // would give.
+            let edges = g.edges().iter().map(|e| (labels[e.u as usize], labels[e.v as usize], e.w));
+            scratch.base.min_cut(k, edges)
+        } else {
+            solve(&g.contract(&labels), n0, opts, rng, depth + 1, scratch)
+        };
+        if improves(sub.weight, &best) {
+            let in_side = sub.mask(k);
+            let side: Vec<u32> =
+                (0..n as u32).filter(|&v| in_side[labels[v as usize] as usize]).collect();
+            best = Some(CutResult { weight: sub.weight, side });
         }
     }
     best.expect("branch >= 2")
@@ -153,6 +185,8 @@ fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::priorities::exponential_priorities;
+    use crate::singleton::sweep;
     use cut_graph::{cut_weight, gen};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -243,6 +277,63 @@ mod tests {
         assert_eq!(a.side, b.side);
     }
 
+    /// Algorithm 1 as served before the one-sort sweep and the fused base
+    /// case: `exponential_priorities`, then `sweep` re-sorting them,
+    /// `Graph::contract` and a recursion that ends in `stoer_wagner` on
+    /// the contracted graph.
+    fn sweep_pipeline_approx_min_cut(g: &Graph, opts: &MinCutOptions) -> CutResult {
+        fn solve(g: &Graph, n0: usize, opts: &MinCutOptions, rng: &mut SmallRng) -> CutResult {
+            let n = g.n();
+            if n <= opts.base_size.max(2) {
+                return stoer_wagner(g);
+            }
+            let (branch, x) = opts.schedule((n0 as f64 / n as f64).max(1.0));
+            let target = ((n as f64 / x).ceil() as usize).clamp(2, n - 1);
+            let mut best: Option<CutResult> = None;
+            let improves =
+                |w: u64, best: &Option<CutResult>| best.as_ref().is_none_or(|b| w < b.weight);
+            for _ in 0..branch {
+                let prio = exponential_priorities(g, rng);
+                let sw = sweep(g, &prio, Some(target));
+                if improves(sw.cut.weight, &best) {
+                    best = Some(CutResult { weight: sw.cut.weight, side: sw.side() });
+                }
+                let labels = sw.prefix.expect("target given");
+                let h = g.contract(&labels);
+                if h.n() >= 2 {
+                    let sub = solve(&h, n0, opts, rng);
+                    if improves(sub.weight, &best) {
+                        let in_side = sub.mask(h.n());
+                        let side: Vec<u32> = (0..n as u32)
+                            .filter(|&v| in_side[labels[v as usize] as usize])
+                            .collect();
+                        best = Some(CutResult { weight: sub.weight, side });
+                    }
+                }
+            }
+            best.expect("branch >= 2")
+        }
+        best_of_repetitions(g, opts, solve)
+    }
+
+    /// The best cut over `opts`' repetitions of `solve`, each seeded as
+    /// `approx_min_cut` seeds them.
+    fn best_of_repetitions(
+        g: &Graph,
+        opts: &MinCutOptions,
+        solve: fn(&Graph, usize, &MinCutOptions, &mut SmallRng) -> CutResult,
+    ) -> CutResult {
+        let mut best: Option<CutResult> = None;
+        for rep in 0..repetition_count(g.n(), opts) {
+            let mut rng = SmallRng::seed_from_u64(opts.seed.wrapping_add(rep as u64));
+            let cut = solve(g, g.n(), opts, &mut rng);
+            if best.as_ref().is_none_or(|b| cut.weight < b.weight) {
+                best = Some(cut);
+            }
+        }
+        best.expect("at least one repetition")
+    }
+
     /// Algorithm 1 as served before the Kruskal sweep: the Theorem 3
     /// engine, `bag_of` and `contract_prefix`, every side materialised.
     fn reference_approx_min_cut(g: &Graph, opts: &MinCutOptions) -> CutResult {
@@ -279,15 +370,29 @@ mod tests {
             best.expect("branch >= 2")
         }
 
-        let mut best: Option<CutResult> = None;
-        for rep in 0..repetition_count(g.n(), opts) {
-            let mut rng = SmallRng::seed_from_u64(opts.seed.wrapping_add(rep as u64));
-            let cut = solve(g, g.n(), opts, &mut rng);
-            if best.as_ref().is_none_or(|b| cut.weight < b.weight) {
-                best = Some(cut);
+        best_of_repetitions(g, opts, solve)
+    }
+
+    /// A seeded graph of one of the shapes Algorithm 1 must serve
+    /// unchanged: unit (tie-heavy), light and heavy weights, sparse
+    /// possibly-disconnected graphs, and multigraphs with parallel edges.
+    fn shaped_graph(shape: usize, n: usize, rng: &mut SmallRng) -> Graph {
+        match shape % 5 {
+            0 => gen::connected_gnm(n, 3 * n, 1..=1, rng),
+            1 => gen::connected_gnm(n, 3 * n, 1..=3, rng),
+            2 => gen::connected_gnm(n, 3 * n, 1..=50, rng),
+            3 => gen::gnm(n, 2 * n, 1..=3, rng),
+            _ => {
+                let edges = (0..3 * n)
+                    .map(|_| {
+                        let u = rng.gen_range(0..n as u32);
+                        let v = (u + rng.gen_range(1..n as u32)) % n as u32;
+                        cut_graph::Edge::new(u, v, rng.gen_range(1..=3))
+                    })
+                    .collect();
+                Graph::new(n, edges)
             }
         }
-        best.expect("at least one repetition")
     }
 
     #[test]
@@ -296,18 +401,30 @@ mod tests {
         // Engine defaults (ε = 0.5, base 32, 2 repetitions), then base 8.
         let engine = MinCutOptions { repetitions: 2, ..Default::default() };
         let base8 = MinCutOptions { base_size: 8, repetitions: 2, ..Default::default() };
-        for trial in 0..24 {
+        for trial in 0..25 {
             let n = rng.gen_range(33..120);
-            let g = match trial % 4 {
-                0 => gen::connected_gnm(n, 3 * n, 1..=1, &mut rng),
-                1 => gen::connected_gnm(n, 3 * n, 1..=3, &mut rng),
-                2 => gen::connected_gnm(n, 3 * n, 1..=50, &mut rng),
-                _ => gen::gnm(n, 2 * n, 1..=3, &mut rng),
-            };
+            let g = shaped_graph(trial, n, &mut rng);
             for opts in [&engine, &base8] {
                 let opts = MinCutOptions { seed: rng.gen(), ..opts.clone() };
                 let served = approx_min_cut(&g, &opts);
                 let reference = reference_approx_min_cut(&g, &opts);
+                assert_eq!(served, reference, "trial={trial} base={}", opts.base_size);
+            }
+        }
+    }
+
+    #[test]
+    fn one_sort_and_fused_base_case_equal_the_sweep_pipeline() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let engine = MinCutOptions { repetitions: 2, ..Default::default() };
+        let base8 = MinCutOptions { base_size: 8, repetitions: 2, ..Default::default() };
+        for trial in 0..100 {
+            let n = rng.gen_range(3..150);
+            let g = shaped_graph(trial, n, &mut rng);
+            for opts in [&engine, &base8] {
+                let opts = MinCutOptions { seed: rng.gen(), ..opts.clone() };
+                let served = approx_min_cut(&g, &opts);
+                let reference = sweep_pipeline_approx_min_cut(&g, &opts);
                 assert_eq!(served, reference, "trial={trial} base={}", opts.base_size);
             }
         }

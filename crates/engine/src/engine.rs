@@ -28,8 +28,8 @@ use std::sync::Arc;
 use cut_graph::{stoer_wagner, CutResult, Edge, Graph};
 use cut_index::{ConnRead, GraphIndex, IndexStats, LruCache};
 use cut_obs::{Clock, Registry};
-use mincut_core::singleton::sweep;
-use mincut_core::{approx_min_cut, apx_split, exponential_priorities, KCutOptions, MinCutOptions};
+use mincut_core::singleton::Sweeper;
+use mincut_core::{approx_min_cut, apx_split, KCutOptions, MinCutOptions};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -1249,11 +1249,12 @@ fn compute_query(
             }
             let g = track(entry, csr, obs);
             let mut rng = SmallRng::seed_from_u64(seed);
-            let prio = exponential_priorities(g, &mut rng);
             // The realizing side is a bag (super-vertex), not one vertex;
-            // one sweep yields both.
-            let sw = sweep(g, &prio, None);
-            Response::CutValue { weight: sw.cut.weight, side_size: sw.side_len(), cached: false }
+            // one sweep yields both, and neither needs the bag's leader.
+            let mut sw = Sweeper::default();
+            sw.draw(g, &mut rng);
+            let weight = sw.run(g, None);
+            Response::CutValue { weight, side_size: sw.side_len(), cached: false }
         }
         Query::KCut { k } => {
             if k < 1 || k > n {

@@ -166,26 +166,32 @@ impl Graph {
     ///
     /// `label[v]` gives the new id of vertex `v`; labels must form the
     /// contiguous range `0..k`. Parallel edges are merged (weights summed)
-    /// and self-loops dropped. Returns the contracted graph.
+    /// and self-loops dropped. Returns the contracted graph, its edges
+    /// sorted by `(u, v)` with `u < v`.
+    ///
+    /// Two stable counting-sort passes over the relabeled endpoints, first
+    /// by `v` and then by `u`, leave every parallel class adjacent in
+    /// `(u, v)` order; one scan then merges each class.
     pub fn contract(&self, label: &[u32]) -> Graph {
         assert_eq!(label.len(), self.n);
         let k = label.iter().copied().max().map(|x| x as usize + 1).unwrap_or(0);
-        let mut merged: std::collections::HashMap<(u32, u32), u64> =
-            std::collections::HashMap::with_capacity(self.m());
-        for e in &self.edges {
-            let (mut a, mut b) = (label[e.u as usize], label[e.v as usize]);
-            if a == b {
-                continue;
+        let pairs: Vec<Edge> = self
+            .edges
+            .iter()
+            .filter_map(|e| {
+                let (a, b) = (label[e.u as usize], label[e.v as usize]);
+                (a != b).then(|| Edge::new(a.min(b), a.max(b), e.w))
+            })
+            .collect();
+        let by_v = counting_sort(&pairs, k, |e| e.v);
+        let by_uv = counting_sort(&by_v, k, |e| e.u);
+        let mut edges: Vec<Edge> = Vec::with_capacity(by_uv.len());
+        for e in by_uv {
+            match edges.last_mut() {
+                Some(last) if (last.u, last.v) == (e.u, e.v) => last.w += e.w,
+                _ => edges.push(e),
             }
-            if a > b {
-                std::mem::swap(&mut a, &mut b);
-            }
-            *merged.entry((a, b)).or_insert(0) += e.w;
         }
-        let mut edges: Vec<Edge> =
-            merged.into_iter().map(|((a, b), w)| Edge::new(a, b, w)).collect();
-        // Deterministic edge order regardless of hash-map iteration.
-        edges.sort_unstable_by_key(|e| (e.u, e.v));
         Graph::new_unchecked(k, edges)
     }
 
@@ -219,6 +225,24 @@ impl Graph {
             self.edges.iter().enumerate().filter(|(i, _)| !dead[*i]).map(|(_, e)| *e).collect();
         Graph::new_unchecked(self.n, edges)
     }
+}
+
+/// `edges` stably sorted by `key`, a vertex id below `k`.
+fn counting_sort(edges: &[Edge], k: usize, key: impl Fn(&Edge) -> u32) -> Vec<Edge> {
+    let mut start = vec![0u32; k + 1];
+    for e in edges {
+        start[key(e) as usize + 1] += 1;
+    }
+    for i in 0..k {
+        start[i + 1] += start[i];
+    }
+    let mut out = vec![Edge::new(0, 0, 0); edges.len()];
+    for e in edges {
+        let slot = &mut start[key(e) as usize];
+        out[*slot as usize] = *e;
+        *slot += 1;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -289,6 +313,81 @@ mod tests {
         let a = g.contract(&l);
         let b = g.contract(&l);
         assert_eq!(a.edges(), b.edges());
+    }
+
+    /// `contract` as it was before the counting sort: parallel classes
+    /// merged through a `HashMap`, then sorted by `(u, v)`. The oracle
+    /// [`Graph::contract`] must equal.
+    fn contract_reference(g: &Graph, label: &[u32]) -> Graph {
+        let k = label.iter().copied().max().map(|x| x as usize + 1).unwrap_or(0);
+        let mut merged: std::collections::HashMap<(u32, u32), u64> =
+            std::collections::HashMap::with_capacity(g.m());
+        for e in g.edges() {
+            let (mut a, mut b) = (label[e.u as usize], label[e.v as usize]);
+            if a == b {
+                continue;
+            }
+            if a > b {
+                std::mem::swap(&mut a, &mut b);
+            }
+            *merged.entry((a, b)).or_insert(0) += e.w;
+        }
+        let mut edges: Vec<Edge> =
+            merged.into_iter().map(|((a, b), w)| Edge::new(a, b, w)).collect();
+        edges.sort_unstable_by_key(|e| (e.u, e.v));
+        Graph::new_unchecked(k, edges)
+    }
+
+    fn assert_contract_is_reference(g: &Graph, label: &[u32]) {
+        let (got, want) = (g.contract(label), contract_reference(g, label));
+        assert_eq!(got.n(), want.n(), "label={label:?}");
+        assert_eq!(got.edges(), want.edges(), "edges={:?} label={label:?}", g.edges());
+    }
+
+    #[test]
+    fn contraction_equals_the_hashmap_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(16);
+        for trial in 0..500 {
+            let n = rng.gen_range(2..30u32);
+            // A multigraph: repeated pairs in both orientations.
+            let edges: Vec<Edge> = (0..rng.gen_range(0..4 * n))
+                .map(|_| {
+                    let u = rng.gen_range(0..n);
+                    let v = (u + rng.gen_range(1..n)) % n;
+                    Edge::new(u, v, rng.gen_range(1..=9))
+                })
+                .collect();
+            let g = Graph::new(n as usize, edges);
+            let k = match trial % 4 {
+                0 => 1,
+                1 => n,
+                _ => rng.gen_range(1..=n),
+            };
+            // Every label in 0..k used at least once, then shuffled in.
+            let mut label: Vec<u32> =
+                (0..n).map(|v| if v < k { v } else { rng.gen_range(0..k) }).collect();
+            for i in (1..label.len()).rev() {
+                label.swap(i, rng.gen_range(0..=i));
+            }
+            assert_contract_is_reference(&g, &label);
+        }
+    }
+
+    #[test]
+    fn contraction_to_one_vertex_or_of_no_edges_is_edgeless() {
+        let g = Graph::unit(5, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]);
+        assert_contract_is_reference(&g, &[0; 5]);
+        let all = g.contract(&[0; 5]);
+        assert_eq!((all.n(), all.m()), (1, 0));
+        // Labels that keep every edge inside a class.
+        assert_contract_is_reference(&g, &[0, 0, 0, 1, 1]);
+        assert_eq!(g.contract(&[0, 0, 0, 1, 1]).m(), 0);
+        // A graph without edges.
+        let empty = Graph::new(4, vec![]);
+        assert_contract_is_reference(&empty, &[1, 0, 1, 0]);
+        assert_contract_is_reference(&Graph::new(0, vec![]), &[]);
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub use cut::{cut_weight, CutResult};
 pub use dsu::Dsu;
 pub use gomory_hu::GomoryHuTree;
 pub use graph::{Edge, Graph};
-pub use mst::{kruskal, MstForest};
-pub use stoer_wagner::stoer_wagner;
+pub use mst::{kruskal, kruskal_in_order, MstForest};
+pub use stoer_wagner::{stoer_wagner, StoerWagner};

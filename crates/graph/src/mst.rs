@@ -30,6 +30,12 @@ pub fn kruskal(g: &Graph, prio: &[u64]) -> MstForest {
     assert_eq!(prio.len(), g.m(), "one priority per edge");
     let mut order: Vec<u32> = (0..g.m() as u32).collect();
     order.sort_unstable_by_key(|&e| (prio[e as usize], e));
+    kruskal_in_order(g, order)
+}
+
+/// Kruskal MSF of `g` scanning its edges in the given `order`, for a
+/// caller that already holds the edges sorted by priority.
+pub fn kruskal_in_order(g: &Graph, order: impl IntoIterator<Item = u32>) -> MstForest {
     let mut dsu = Dsu::new(g.n());
     let mut edges = Vec::with_capacity(g.n().saturating_sub(1));
     for e in order {

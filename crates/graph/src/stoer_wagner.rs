@@ -7,25 +7,35 @@
 //! is also the ground truth of the approximation-quality experiments (E2).
 //!
 //! The implementation is the `O(n³)` adjacency-matrix algorithm, laid out
-//! for a small constant factor: one flat `n × n` matrix, scratch allocated
-//! once per call, member lists kept as intrusive chains, and a fused
-//! maximum-adjacency (MA) step that updates the connectivity of every
+//! for a small constant factor: one flat `n × n` matrix, scratch kept in a
+//! reusable [`StoerWagner`], member lists kept as intrusive chains, and a
+//! fused maximum-adjacency (MA) step that updates the connectivity of every
 //! remaining candidate and picks the next vertex in a single pass.
+//! [`stoer_wagner`] fills the matrix from a [`Graph`]; callers that hold a
+//! relabeled edge list (the approximate min cut's base case adds a
+//! contraction's edges straight in) call [`StoerWagner::min_cut`].
 //!
 //! **Tie-break contract.** Each phase starts from the smallest active
 //! super-vertex id. Among candidates of equal connectivity the MA step picks
-//! the largest id, i.e. the maximum of the key `(conn[v], v)`. `s` and `t`
-//! are the last two vertices added, `t` merges into `s`, and a phase's cut
-//! replaces the best one only when strictly lighter (the first phase always
-//! records). The side is sorted. These rules fix the returned [`CutResult`]
-//! exactly; the test module keeps the plain dense implementation as
-//! `dense_reference` and holds this one equal to it, weight and side.
+//! the largest id, i.e. the maximum of the key `(conn[v], v)`. The step
+//! computes it as a branchless maximum over one packed `u128` per candidate,
+//! `conn[v] << 64 | v << 32 | pos`, where `pos` is the candidate's slot:
+//! ids are unique, so `pos` never decides a comparison and only carries the
+//! winner's slot out of the loop. `s` and `t` are the last two vertices
+//! added, `t` merges into `s`, and a phase's cut replaces the best one only
+//! when strictly lighter (the first phase always records). The side is
+//! sorted. These rules fix the returned [`CutResult`] exactly; the test
+//! module keeps the plain dense implementation as `dense_reference` and
+//! holds this one equal to it, weight and side.
 
 use crate::cut::CutResult;
 use crate::graph::Graph;
 
 /// End of an intrusive member chain.
 const NIL: usize = usize::MAX;
+
+const TOTAL_OVERFLOW: &str = "total edge weight exceeds u64::MAX; the serving engine rejects \
+                              such graphs on create and insert (cut_engine::request::checked_total)";
 
 /// Exact weighted global min cut of `g`.
 ///
@@ -36,103 +46,139 @@ const NIL: usize = usize::MAX;
 pub fn stoer_wagner(g: &Graph) -> CutResult {
     let n = g.n();
     assert!(n >= 2, "a cut needs at least two vertices");
-    // Every connectivity value and merged matrix entry below is a sum of
-    // distinct edge weights, so this one check keeps the inner loops free
-    // of overflow.
     let total = g.edges().iter().try_fold(0u64, |acc, e| acc.checked_add(e.w));
-    assert!(
-        total.is_some(),
-        "total edge weight exceeds u64::MAX; the serving engine rejects such graphs on \
-         create and insert (cut_engine::request::checked_total)"
-    );
+    assert!(total.is_some(), "{TOTAL_OVERFLOW}");
 
     if !g.is_connected() {
         let comp = g.components();
         let side: Vec<u32> = (0..n as u32).filter(|&v| comp[v as usize] == 0).collect();
         return CutResult { weight: 0, side };
     }
+    StoerWagner::default().min_cut(n, g.edges().iter().map(|e| (e.u, e.v, e.w)))
+}
 
-    // Row-major weight matrix. The diagonal (self-loops) is never read.
-    let cells = n.checked_mul(n).expect("Stoer–Wagner matrix size overflows usize");
-    let mut w = vec![0u64; cells];
-    for e in g.edges() {
-        let (u, v) = (e.u as usize, e.v as usize);
-        if u != v {
-            w[u * n + v] += e.w;
-            w[v * n + u] += e.w;
+/// Reusable scratch for the flat-matrix Stoer–Wagner: a caller that solves
+/// many small instances keeps one and allocates only when an instance is
+/// larger than every one before it.
+#[derive(Debug, Default)]
+pub struct StoerWagner {
+    w: Vec<u64>,
+    next: Vec<usize>,
+    tail: Vec<usize>,
+    size: Vec<usize>,
+    active: Vec<usize>,
+    conn: Vec<u64>,
+    cand: Vec<usize>,
+}
+
+impl StoerWagner {
+    /// Exact weighted global min cut of the *connected* multigraph on `n`
+    /// vertices with the given `(u, v, w)` edges. Parallel edges add up
+    /// and self-loops are ignored, so a contraction's relabeled edge list
+    /// gives the same cut as the contracted [`Graph`]. Equal to
+    /// [`stoer_wagner`] on the same graph. Panics when `n < 2` or when the
+    /// total weight of the non-loop edges exceeds `u64::MAX`; a
+    /// disconnected input gets a zero-weight cut whose side is unspecified.
+    pub fn min_cut(
+        &mut self,
+        n: usize,
+        edges: impl IntoIterator<Item = (u32, u32, u64)>,
+    ) -> CutResult {
+        assert!(n >= 2, "a cut needs at least two vertices");
+        assert!(n <= u32::MAX as usize, "vertex ids must fit the packed MA key");
+        // Row-major weight matrix. The diagonal (self-loops) is never read.
+        let cells = n.checked_mul(n).expect("Stoer–Wagner matrix size overflows usize");
+        let w = &mut self.w;
+        w.clear();
+        w.resize(cells, 0);
+        // Every connectivity value and merged matrix entry below is a sum
+        // of distinct edge weights, so this one check keeps the inner
+        // loops free of overflow.
+        let mut total = 0u64;
+        for (u, v, weight) in edges {
+            let (u, v) = (u as usize, v as usize);
+            if u != v {
+                total = total.checked_add(weight).expect(TOTAL_OVERFLOW);
+                w[u * n + v] += weight;
+                w[v * n + u] += weight;
+            }
         }
-    }
 
-    // Super-vertex v's original members: the chain v, next[v], ... of
-    // length size[v]. Merging t into s links t's chain after s's tail, so
-    // a super-vertex's members stay a contiguous run from its id.
-    let mut next = vec![NIL; n];
-    let mut tail: Vec<usize> = (0..n).collect();
-    let mut size = vec![1usize; n];
-    let mut active: Vec<usize> = (0..n).collect();
-    let mut conn = vec![0u64; n];
-    let mut cand: Vec<usize> = Vec::with_capacity(n);
-    // Best cut so far: its weight and `(t, size[t])` at the phase that
-    // found it. The side is expanded once, at the end.
-    let mut best: Option<(u64, usize, usize)> = None;
+        // Super-vertex v's original members: the chain v, next[v], ... of
+        // length size[v]. Merging t into s links t's chain after s's tail,
+        // so a super-vertex's members stay a contiguous run from its id.
+        let next = &mut self.next;
+        next.clear();
+        next.resize(n, NIL);
+        let tail = &mut self.tail;
+        tail.clear();
+        tail.extend(0..n);
+        let size = &mut self.size;
+        size.clear();
+        size.resize(n, 1);
+        let active = &mut self.active;
+        active.clear();
+        active.extend(0..n);
+        let conn = &mut self.conn;
+        let cand = &mut self.cand;
+        // Best cut so far: its weight and `(t, size[t])` at the phase that
+        // found it. The side is expanded once, at the end.
+        let mut best: Option<(u64, usize, usize)> = None;
 
-    while active.len() > 1 {
-        // MA ordering from the smallest active id: conn[v] starts at zero
-        // and the start vertex is absorbed like any other.
-        cand.clear();
-        cand.extend_from_slice(&active[1..]);
-        for &v in &cand {
-            conn[v] = 0;
-        }
-        let mut t = active[0];
-        let mut s;
-        loop {
-            let row = &w[t * n..(t + 1) * n];
-            let mut pick = 0;
-            let mut key = (0u64, 0usize);
-            for (i, &v) in cand.iter().enumerate() {
-                let c = conn[v] + row[v];
-                conn[v] = c;
-                if i == 0 || (c, v) > key {
-                    pick = i;
-                    key = (c, v);
+        while active.len() > 1 {
+            // MA ordering from the smallest active id: every candidate's
+            // connectivity starts at zero and the start vertex is absorbed
+            // like any other. `conn[pos]` belongs to `cand[pos]`.
+            cand.clear();
+            cand.extend_from_slice(&active[1..]);
+            conn.clear();
+            conn.resize(cand.len(), 0);
+            let mut t = active[0];
+            let mut s;
+            let phase_weight = loop {
+                let row = &w[t * n..(t + 1) * n];
+                let mut key = 0u128;
+                for (pos, (&v, c)) in cand.iter().zip(conn.iter_mut()).enumerate() {
+                    *c += row[v];
+                    key = key.max((*c as u128) << 64 | (v as u128) << 32 | pos as u128);
+                }
+                let pos = key as u32 as usize;
+                s = t;
+                t = cand.swap_remove(pos);
+                let c = conn.swap_remove(pos);
+                if cand.is_empty() {
+                    break c;
+                }
+            };
+            // Cut-of-the-phase: {t's members} vs rest.
+            // The first phase always records: a cut can weigh u64::MAX.
+            if best.is_none_or(|(bw, _, _)| phase_weight < bw) {
+                best = Some((phase_weight, t, size[t]));
+            }
+            // Merge t into s.
+            next[tail[s]] = t;
+            tail[s] = tail[t];
+            size[s] += size[t];
+            for &v in active.iter() {
+                if v != s && v != t {
+                    let merged = w[s * n + v] + w[t * n + v];
+                    w[s * n + v] = merged;
+                    w[v * n + s] = merged;
                 }
             }
-            s = t;
-            t = cand.swap_remove(pick);
-            if cand.is_empty() {
-                break;
-            }
+            active.retain(|&v| v != t);
         }
-        // Cut-of-the-phase: {t's members} vs rest.
-        let phase_weight = conn[t];
-        // The first phase always records: a cut can weigh u64::MAX.
-        if best.is_none_or(|(bw, _, _)| phase_weight < bw) {
-            best = Some((phase_weight, t, size[t]));
-        }
-        // Merge t into s.
-        next[tail[s]] = t;
-        tail[s] = tail[t];
-        size[s] += size[t];
-        for &v in &active {
-            if v != s && v != t {
-                let merged = w[s * n + v] + w[t * n + v];
-                w[s * n + v] = merged;
-                w[v * n + s] = merged;
-            }
-        }
-        active.retain(|&v| v != t);
-    }
 
-    let (weight, head, len) = best.expect("a graph with n >= 2 runs at least one phase");
-    let mut side = Vec::with_capacity(len);
-    let mut v = head;
-    for _ in 0..len {
-        side.push(v as u32);
-        v = next[v];
+        let (weight, head, len) = best.expect("a graph with n >= 2 runs at least one phase");
+        let mut side = Vec::with_capacity(len);
+        let mut v = head;
+        for _ in 0..len {
+            side.push(v as u32);
+            v = next[v];
+        }
+        side.sort_unstable();
+        CutResult { weight, side }
     }
-    side.sort_unstable();
-    CutResult { weight, side }
 }
 
 #[cfg(test)]
@@ -264,6 +310,32 @@ mod tests {
             };
             assert_eq!(stoer_wagner(&g), dense_reference(&g), "edges={:?}", g.edges());
         }
+    }
+
+    #[test]
+    fn reused_scratch_on_relabeled_edges_equals_the_contracted_graph() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut sw = StoerWagner::default();
+        for i in 0..400u32 {
+            let n = rng.gen_range(3..=40);
+            let g = shaped_graph((i % 4) as u8, n, &mut rng);
+            // Labels 0..k in first-appearance order; loops and parallel
+            // classes go into the matrix unmerged.
+            let k = rng.gen_range(2..=n);
+            let label: Vec<u32> = (0..n as u32)
+                .map(|v| if v < k as u32 { v } else { rng.gen_range(0..k as u32) })
+                .collect();
+            let h = g.contract(&label);
+            let edges = g.edges().iter().map(|e| (label[e.u as usize], label[e.v as usize], e.w));
+            assert_eq!(sw.min_cut(k, edges), stoer_wagner(&h), "i={i} label={label:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "total edge weight exceeds u64::MAX")]
+    fn relabeled_edges_past_u64_max_are_rejected() {
+        let edges = [(0, 1, u64::MAX), (2, 2, 5), (1, 0, 1)];
+        let _ = StoerWagner::default().min_cut(3, edges);
     }
 
     #[test]

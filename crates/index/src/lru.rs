@@ -56,7 +56,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         assert!(capacity > 0, "an LRU cache needs capacity >= 1");
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity.min(4096)),
+            // Grown on demand: most graphs cache a few dozen queries, and a
+            // map sized for the full capacity reserves hundreds of KiB per
+            // graph up front.
+            map: HashMap::new(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,

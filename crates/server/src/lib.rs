@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -70,8 +70,9 @@ pub struct ServerConfig {
     /// Accepted-connection cap: connection `max_conns + 1` is refused
     /// with an `error server at capacity …` line, not queued.
     pub max_conns: usize,
-    /// A session with no traffic for this long is closed (an `error idle
-    /// timeout …` line is sent best-effort first).
+    /// A session with no traffic for this long, and no request in flight,
+    /// is closed (an `error idle timeout …` line is sent best-effort
+    /// first).
     pub idle_timeout: Duration,
     /// When set, append the deterministic `{seq:06} {request} ->
     /// {response}` operation log here (the stress-digest format).
@@ -378,12 +379,16 @@ enum ReadOutcome {
 /// Read one line with the socket's short poll timeout, accumulating
 /// quiet polls toward the idle timeout and watching the drain flag.
 /// Partial lines survive across poll timeouts: `read_line` appends what
-/// arrived, and the next attempt continues the same `line`.
+/// arrived, and the next attempt continues the same `line`. A session
+/// with requests in flight (`in_flight > 0`) is waiting on the server,
+/// not idle: its quiet polls do not count, and the idle clock restarts
+/// once the last response is out.
 fn read_line_polled(
     reader: &mut BufReader<TcpStream>,
     line: &mut String,
     poll: Duration,
     shared: &Shared,
+    in_flight: &AtomicUsize,
 ) -> ReadOutcome {
     let mut idle = Duration::ZERO;
     loop {
@@ -403,7 +408,7 @@ fn read_line_polled(
                     return ReadOutcome::Drained;
                 }
                 // A partial read is progress, not idleness.
-                if line.len() > before {
+                if line.len() > before || in_flight.load(Ordering::SeqCst) > 0 {
                     idle = Duration::ZERO;
                 } else {
                     idle += poll;
@@ -446,14 +451,18 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
     let mut reader = BufReader::new(read_half);
 
     let (tx, rx) = channel::<Item>();
+    // Requests submitted but not yet answered: the reader adds one per
+    // submission, the writer takes it back once the response is flushed.
+    let in_flight = Arc::new(AtomicUsize::new(0));
     let writer = {
         let shared = Arc::clone(shared);
-        std::thread::spawn(move || writer_loop(stream, rx, &shared))
+        let in_flight = Arc::clone(&in_flight);
+        std::thread::spawn(move || writer_loop(stream, rx, &shared, &in_flight))
     };
 
     // Handshake: exactly one HELLO line, answered before anything else.
     let mut line = String::new();
-    let outcome = read_line_polled(&mut reader, &mut line, poll, shared);
+    let outcome = read_line_polled(&mut reader, &mut line, poll, shared, &in_flight);
     let hello_ok = matches!(outcome, ReadOutcome::Line)
         && line.trim_end_matches(['\r', '\n']) == format!("HELLO {PROTOCOL_VERSION}");
     if !hello_ok {
@@ -474,7 +483,7 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
 
     loop {
         line.clear();
-        match read_line_polled(&mut reader, &mut line, poll, shared) {
+        match read_line_polled(&mut reader, &mut line, poll, shared, &in_flight) {
             ReadOutcome::Line => {}
             // Draining and the socket went quiet: everything the client
             // flushed before the drain has been submitted. Stop reading;
@@ -523,6 +532,9 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
                 None => None,
             }
         };
+        if submitted.is_some() {
+            in_flight.fetch_add(1, Ordering::SeqCst);
+        }
         let item = match submitted {
             Some((_, ticket)) if introspection => Item::Introspection { ticket },
             Some((seq, ticket)) => Item::Pending { seq, display, ticket },
@@ -541,11 +553,18 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
 /// lines, and batch flushes to the pipeline's quiet moments. Socket write
 /// failures do not abort the loop — tickets already submitted must still
 /// be resolved so the server log records every served request.
-fn writer_loop(stream: TcpStream, rx: Receiver<Item>, shared: &Arc<Shared>) {
+fn writer_loop(
+    stream: TcpStream,
+    rx: Receiver<Item>,
+    shared: &Arc<Shared>,
+    in_flight: &AtomicUsize,
+) {
     let mut w = BufWriter::new(stream);
     let mut client_gone = false;
     while let Ok(first) = rx.recv() {
         let mut next = Some(first);
+        // Submitted requests answered since the last flush.
+        let mut answered = 0;
         while let Some(item) = next {
             let line = match item {
                 Item::Raw(line) => line,
@@ -554,9 +573,13 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Item>, shared: &Arc<Shared>) {
                     let response = ticket.wait();
                     shared.log_line(seq, &display, &response);
                     shared.served.fetch_add(1, Ordering::Relaxed);
+                    answered += 1;
                     response.to_trace_line()
                 }
-                Item::Introspection { ticket } => ticket.wait().to_trace_line(),
+                Item::Introspection { ticket } => {
+                    answered += 1;
+                    ticket.wait().to_trace_line()
+                }
             };
             if !client_gone {
                 let write = w.write_all(line.as_bytes()).and_then(|_| w.write_all(b"\n"));
@@ -572,6 +595,7 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Item>, shared: &Arc<Shared>) {
         if !client_gone && w.flush().is_err() {
             client_gone = true;
         }
+        in_flight.fetch_sub(answered, Ordering::SeqCst);
         shared.flush_log();
     }
     if !client_gone {

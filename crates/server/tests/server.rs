@@ -317,6 +317,45 @@ fn idle_sessions_are_closed_after_the_timeout() {
 }
 
 #[test]
+fn a_request_in_flight_keeps_its_session_open() {
+    let idle = Duration::from_millis(100);
+    let cfg = ServerConfig { idle_timeout: idle, ..sharded_cfg(1) };
+    let (addr, handle, run) = start(cfg);
+    let mut conn = Connection::connect(&addr).expect("connect");
+    let spec = GraphSpec::ConnectedGnm { n: 200, m: 1200, w_min: 1, w_max: 9, seed: 3 };
+    conn.execute(&Request::Create { name: "g".into(), spec }).expect("create");
+
+    // Approximate cuts on fresh seeds are never cached. A pipelined batch
+    // of them keeps the client silent, waiting on responses; batches
+    // double until one outlasts several idle timeouts.
+    let mut seed = 0u64;
+    for batch_len in (0..12).map(|i| 10u64 << i) {
+        let batch: Vec<Request> = (seed..seed + batch_len)
+            .map(|seed| Request::Query { name: "g".into(), query: Query::ApproxMinCut { seed } })
+            .collect();
+        seed += batch_len;
+        let started = std::time::Instant::now();
+        let tickets: Vec<_> = batch.iter().map(|r| conn.submit(r).expect("submit")).collect();
+        for ticket in tickets {
+            let got = ticket.wait().expect("slow response");
+            assert!(matches!(got, Response::CutValue { .. }), "got {got}");
+        }
+        if started.elapsed() > 3 * idle {
+            break;
+        }
+    }
+
+    // The follow-up right after the last response is still served.
+    match conn.execute(&Request::ListGraphs).expect("follow-up served") {
+        Response::Graphs { .. } => {}
+        other => panic!("expected the graph list, got {other}"),
+    }
+    drop(conn);
+    handle.shutdown();
+    run.join().expect("server run");
+}
+
+#[test]
 fn server_log_matches_in_process_log_for_the_same_stream() {
     let log_path =
         std::env::temp_dir().join(format!("cut_server_log_test_{}.txt", std::process::id()));
